@@ -29,23 +29,23 @@ class StaticSlicePolicy final : public policy::SystemPolicy {
       view.fast_quota = slice;
       const std::uint64_t in_fast = view.as->pages_in_tier(mem::kFastTier);
       if (in_fast > slice) {
-        std::uint64_t excess = in_fast - slice;
-        for (const auto page : policy::pages_in_tier_by_heat(
-                 view, mem::kFastTier, /*hottest_first=*/false)) {
-          if (excess-- == 0) break;
+        policy::TierHeatRanking coldest(view, mem::kFastTier,
+                                        /*hottest_first=*/false);
+        for (std::uint64_t excess = in_fast - slice;
+             excess > 0 && coldest.more(); --excess) {
           view.migration->enqueue_urgent(policy::make_request(
-              view, page, mem::kSlowTier, mig::CopyMode::kAsync));
+              view, coldest.next(), mem::kSlowTier, mig::CopyMode::kAsync));
         }
         continue;
       }
-      std::uint64_t headroom = slice - in_fast;
-      for (const auto page : policy::pages_in_tier_by_heat(
-               view, mem::kSlowTier, /*hottest_first=*/true)) {
-        if (headroom == 0) break;
+      policy::TierHeatRanking hottest(view, mem::kSlowTier,
+                                      /*hottest_first=*/true);
+      for (std::uint64_t headroom = slice - in_fast;
+           headroom > 0 && hottest.more(); --headroom) {
+        const std::uint64_t page = hottest.next();
         if (view.tracker->heat(page) < 1.0) break;
         view.migration->enqueue(policy::make_request(
             view, page, mem::kFastTier, mig::CopyMode::kAsync));
-        --headroom;
       }
     }
   }

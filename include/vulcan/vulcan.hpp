@@ -3,7 +3,7 @@
 //
 // Umbrella header: pulls in the public API surface.
 //
-//   vulcan::sim      simulation kernel (clock, RNG, events, cost model)
+//   vulcan::sim      simulation kernel (clock, RNG, statistics, cost model)
 //   vulcan::mem      tiered memory hardware model
 //   vulcan::vm       page tables, TLBs, shootdowns, address spaces
 //   vulcan::prof     access profiling (PEBS / PT-scan / hint-fault / hybrid)
@@ -85,7 +85,6 @@
 #include "runtime/trials.hpp"
 #include "sim/config.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "vm/address_space.hpp"
 #include "vm/mmu.hpp"

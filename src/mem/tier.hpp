@@ -6,6 +6,7 @@
 // (mirroring how a physical address identifies its NUMA node).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -18,6 +19,10 @@ using TierId = std::uint8_t;
 
 inline constexpr TierId kFastTier = 0;
 inline constexpr TierId kSlowTier = 1;
+
+/// Most tiers one topology may have; per-tier scratch in the epoch loop is
+/// sized from it.
+inline constexpr std::size_t kMaxTiers = 8;
 
 /// Physical frame number, globally unique across tiers.
 using Pfn = std::uint64_t;

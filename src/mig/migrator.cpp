@@ -93,9 +93,7 @@ void Migrator::link_outcome(const MigrationRequest& req, bool executed,
   // Final residency of the decision's own page — a partial chunk move may
   // have stopped short of it, so read the live PTE rather than trusting
   // req.to.
-  vm::Mmu* const mmu = shootdowns_->mmu();
-  const vm::Pte pte =
-      mmu ? mmu->walk(*as_, req.vpn) : as_->tables().get(req.vpn);
+  const vm::Pte pte = shootdowns_->mmu().walk(*as_, req.vpn);
   outcome.final_tier =
       pte.present() ? static_cast<std::int32_t>(mem::tier_of(pte.pfn())) : -1;
   ledger_->link_outcome(req.provenance, outcome);
@@ -106,9 +104,7 @@ AdmissionInputs Migrator::admission_inputs(const MigrationRequest& req) {
   const bool sync = req.mode == CopyMode::kSync;
   const vm::CoreId initiator =
       sync ? core_of(req.owner) : config_.daemon_core;
-  vm::Mmu* const mmu = shootdowns_->mmu();
-  const vm::Pte pte =
-      mmu ? mmu->walk(*as_, req.vpn) : as_->tables().get(req.vpn);
+  const vm::Pte pte = shootdowns_->mmu().walk(*as_, req.vpn);
   const std::int32_t from =
       pte.present() ? static_cast<std::int32_t>(mem::tier_of(pte.pfn())) : -1;
   in.promotion = from >= 0 ? static_cast<std::int32_t>(req.to) < from
@@ -158,9 +154,7 @@ void Migrator::veto_request(const MigrationRequest& req,
   obs::DecisionOutcome outcome;
   outcome.status = obs::DecisionStatus::kVetoed;
   outcome.abort_reason = reason;
-  vm::Mmu* const mmu = shootdowns_->mmu();
-  const vm::Pte pte =
-      mmu ? mmu->walk(*as_, req.vpn) : as_->tables().get(req.vpn);
+  const vm::Pte pte = shootdowns_->mmu().walk(*as_, req.vpn);
   outcome.final_tier =
       pte.present() ? static_cast<std::int32_t>(mem::tier_of(pte.pfn())) : -1;
   ledger_->link_outcome(req.provenance, outcome);
@@ -205,9 +199,7 @@ std::span<const vm::CoreId> Migrator::shootdown_targets(
     // the old owner would leave live entries on the new sharers' cores.
     // Same predicate as tables().exclusive_owner(), but the PTE read goes
     // through the MMU's page-walk cache instead of a full radix walk.
-    vm::Mmu* const mmu = shootdowns_->mmu();
-    const vm::Pte pte =
-        mmu ? mmu->walk(*as_, req.vpn) : as_->tables().get(req.vpn);
+    const vm::Pte pte = shootdowns_->mmu().walk(*as_, req.vpn);
     if (pte.present() && !pte.shared()) {
       // A single owner proven by the ownership bits: that thread is the
       // only one ever to have touched the page, so its core holds the
@@ -277,7 +269,7 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
                 static_cast<double>(sim::kPagesPerHuge), req.to, req.owner);
 
   const vm::Vpn base = as_->chunk_base(req.vpn);
-  vm::Mmu* const mmu = shootdowns_->mmu();
+  vm::Mmu& mmu = shootdowns_->mmu();
   std::vector<vm::Vpn>& moved = moved_scratch_;
   moved.clear();
   moved.reserve(sim::kPagesPerHuge);
@@ -286,7 +278,7 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
     const vm::Vpn vpn = base + i;
     // All 512 pages share one leaf, so the Mmu's page-walk cache turns
     // 511 of these radix walks into a single hash probe each.
-    const vm::Pte pte = mmu ? mmu->walk(*as_, vpn) : as_->tables().get(vpn);
+    const vm::Pte pte = mmu.walk(*as_, vpn);
     if (!pte.present() || mem::tier_of(pte.pfn()) == req.to) continue;
     auto dest = topo_->allocator(req.to).allocate();
     if (!dest) {
@@ -310,7 +302,7 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
       as_->chunk_state(req.vpn) == vm::AddressSpace::ChunkState::kHuge) {
     // A huge mapping cannot straddle tiers: a partial move forces a split.
     as_->split_chunk(req.vpn);
-    if (mmu) mmu->invalidate_pwc(as_->pid(), req.vpn);
+    mmu.invalidate_pwc(as_->pid(), req.vpn);
     bucket += config_.huge_split_cycles;
   }
 
@@ -344,7 +336,7 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
   // verifies the whole chunk is mapped and co-resident, so a partial move
   // (destination exhausted) safely stays base-paged.
   as_->collapse_chunk(req.vpn);
-  if (mmu) mmu->invalidate_pwc(as_->pid(), req.vpn);
+  mmu.invalidate_pwc(as_->pid(), req.vpn);
   return true;
 }
 
@@ -358,9 +350,8 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
   const vm::CoreId initiator =
       sync ? core_of(req.owner) : config_.daemon_core;
 
-  vm::Mmu* const mmu = shootdowns_->mmu();
-  const vm::Pte pte =
-      mmu ? mmu->walk(*as_, req.vpn) : as_->tables().get(req.vpn);
+  vm::Mmu& mmu = shootdowns_->mmu();
+  const vm::Pte pte = mmu.walk(*as_, req.vpn);
   if (!pte.present() || mem::tier_of(pte.pfn()) == req.to) {
     return abort_request(req, obs::MigAbortReason::kStale);
   }
@@ -378,7 +369,7 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
   // migration's own shootdown stay targeted.
   if (as_->is_huge(req.vpn)) {
     as_->split_chunk(req.vpn);
-    if (mmu) mmu->invalidate_pwc(as_->pid(), req.vpn);
+    mmu.invalidate_pwc(as_->pid(), req.vpn);
     bucket += config_.huge_split_cycles;
     op_span.advance(config_.huge_split_cycles);
     const auto split_targets = broadcast_targets(initiator);

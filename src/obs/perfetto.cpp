@@ -12,29 +12,6 @@ namespace vulcan::obs {
 
 namespace {
 
-// Declared in trace.cpp's kind table; re-derived here for instant-event
-// names without widening the trace.cpp interface.
-const char* flat_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kEpochStart: return "epoch_start";
-    case EventKind::kEpochEnd: return "epoch_end";
-    case EventKind::kMigPhaseBegin: return "mig_phase_begin";
-    case EventKind::kMigPhaseEnd: return "mig_phase_end";
-    case EventKind::kShootdownIssue: return "shootdown_issue";
-    case EventKind::kShootdownAck: return "shootdown_ack";
-    case EventKind::kPolicyQuota: return "policy_quota";
-    case EventKind::kCbfrpPromotion: return "cbfrp_promotion";
-    case EventKind::kCbfrpRejection: return "cbfrp_rejection";
-    case EventKind::kSpanBegin: return "span_begin";
-    case EventKind::kSpanEnd: return "span_end";
-    case EventKind::kAuditViolation: return "audit_violation";
-    case EventKind::kAuditPass: return "audit_pass";
-    case EventKind::kSloViolation: return "slo_violation";
-    case EventKind::kSloRecovered: return "slo_recovered";
-  }
-  return "?";
-}
-
 /// trace_event `pid` for a workload index: 0 = system-wide, app i = i + 1.
 std::uint64_t pid_of(std::int32_t workload) {
   return workload < 0 ? 0 : static_cast<std::uint64_t>(workload) + 1;
@@ -113,7 +90,7 @@ bool write_perfetto(std::span<const TraceEvent> events, std::ostream& out,
     Record r;
     r.time = e.time;
     r.ph = 'i';
-    r.name = flat_kind_name(e.kind);
+    r.name = event_kind_name(e.kind);
     r.pid = pid_of(e.workload);
     records.push_back(r);
   }

@@ -40,7 +40,11 @@ enum class SpanKind : std::uint8_t {
   kPhaseCopy,      ///< MigPhase::kCopy
   kPhaseRemap,     ///< MigPhase::kRemap
   kShootdown,      ///< one ShootdownController operation (IPI round)
-  kSimEvent,       ///< one discrete-event handler firing (sim::Engine)
+  /// Reserved: nothing records it. obs::AppStats registers an
+  /// app.span.sim_event_cycles counter per app for every kind, so removing
+  /// the value would drop those keys from every registry snapshot and
+  /// move the pinned fuzz digests.
+  kSimEvent,
 };
 
 inline constexpr std::size_t kSpanKindCount = 11;

@@ -94,6 +94,8 @@ double parse_double(std::string_view tok) {
 
 }  // namespace
 
+const char* event_kind_name(EventKind kind) { return info_of(kind).name; }
+
 void TraceRing::write_events_jsonl(std::span<const TraceEvent> events,
                                    std::ostream& out) {
   for (const TraceEvent& e : events) {

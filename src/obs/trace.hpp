@@ -104,6 +104,10 @@ inline constexpr const char* mig_abort_reason_name(MigAbortReason r) {
   return "?";
 }
 
+/// The kind's stable name ("epoch_start", "mig_abort", ...): the `kind`
+/// field of a JSONL record and the name of a Perfetto instant event.
+const char* event_kind_name(EventKind kind);
+
 /// One trace record. The payload fields `a`, `b`, `v` are kind-specific;
 /// the JSONL serialiser names them per kind (see kind_info in trace.cpp):
 ///
@@ -121,6 +125,7 @@ inline constexpr const char* mig_abort_reason_name(MigAbortReason r) {
 ///   slo_violation    a=rule index    b=sustained        v=value
 ///   slo_recovered    a=rule index    b=sustained        v=value
 ///   mig_abort        a=reason        b=vpn              v=heat
+///   workload_departed a=frames released b=shadow frames freed
 struct TraceEvent {
   std::uint64_t seq = 0;     ///< assigned by the ring, never reused
   sim::Cycles time = 0;      ///< virtual time of emission

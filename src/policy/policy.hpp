@@ -141,12 +141,4 @@ class TierHeatRanking {
   std::vector<std::uint64_t> keys_;  ///< min-heap of packed (heat, page) keys
 };
 
-/// Pages of `view` resident in `tier`, coldest first (or hottest first).
-/// Deprecated shim over TierHeatRanking — it drains the full ranking
-/// eagerly; kept for call sites that genuinely need the whole vector.
-/// Removal planned once external harnesses migrate.
-std::vector<std::uint64_t> pages_in_tier_by_heat(const WorkloadView& view,
-                                                 mem::TierId tier,
-                                                 bool hottest_first);
-
 }  // namespace vulcan::policy

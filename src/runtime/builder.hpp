@@ -11,13 +11,11 @@
 //   if (!built) { /* built.error() explains what was wrong */ }
 //   runtime::TieredSystem& sys = *built.value();
 //
-// All validation happens at build() and is reported as an expected-style
-// result instead of asserting: misconfigurations (slowest tier first, zero
-// samples, zero cores, unknown policy name, ...) come back as messages the
-// caller can print.
-//
-// The raw `TieredSystem::Config` + constructor remain available as a thin
-// deprecated shim for older harnesses; new code should use the builder.
+// build() reports misconfigurations (slowest tier first, zero samples, zero
+// cores, unknown policy name, ...) as an expected-style result instead of
+// throwing: messages the caller can print. The configuration checks are
+// TieredSystem::validate, which a TieredSystem constructed directly from a
+// Config runs too, throwing std::invalid_argument with the same message.
 #pragma once
 
 #include <memory>
@@ -68,7 +66,8 @@ class SystemBuilder {
     return *this;
   }
   /// Arbitrary topology override (HBM + DRAM + CXL, ...). Tier 0 must be
-  /// the fastest; build() enforces it.
+  /// the fastest and at most mem::kMaxTiers tiers fit; build() enforces
+  /// both.
   SystemBuilder& tiers(std::vector<mem::TierConfig> tiers) {
     config_.custom_tiers = std::move(tiers);
     return *this;

@@ -38,20 +38,4 @@ void MetricsRecorder::write(obs::Exporter& exporter) const {
   exporter.end();
 }
 
-void MetricsRecorder::write_csv(std::ostream& out) const {
-  out << "time_s,workload,fthr,performance,avg_latency_ns,fast_pages,"
-         "slow_pages,quota,accesses,stall_cycles,daemon_cycles,migrated,"
-         "failed,shadow_remaps\n";
-  for (const auto& epoch : epochs_) {
-    for (std::size_t w = 0; w < epoch.workloads.size(); ++w) {
-      const auto& m = epoch.workloads[w];
-      out << epoch.time_s << ',' << w << ',' << m.fthr << ','
-          << m.performance << ',' << m.avg_latency_ns << ',' << m.fast_pages
-          << ',' << m.slow_pages << ',' << m.quota << ',' << m.accesses << ','
-          << m.stall_cycles << ',' << m.daemon_cycles << ',' << m.migrated
-          << ',' << m.failed_migrations << ',' << m.shadow_remaps << '\n';
-    }
-  }
-}
-
 }  // namespace vulcan::runtime

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -78,10 +77,6 @@ class MetricsRecorder {
   /// Stream the whole table (one row per epoch x workload) through any
   /// obs::Exporter backend — CSV, JSONL, or a future sink.
   void write(obs::Exporter& exporter) const;
-
-  /// Legacy CSV writer, kept verbatim so its output can be asserted
-  /// byte-identical with `write(CsvExporter)` (see runtime_metrics_test).
-  void write_csv(std::ostream& out) const;
 
  private:
   std::vector<EpochMetrics> epochs_;

@@ -3,14 +3,73 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <stdexcept>
 
 #include "prof/hint_fault.hpp"
 
 namespace vulcan::runtime {
 
+std::string TieredSystem::validate(const Config& c) {
+  if (c.machine.cores == 0) return "machine.cores must be > 0";
+  if (c.epoch == 0) return "epoch length must be > 0 cycles";
+  if (c.samples_per_epoch == 0) return "samples_per_epoch must be > 0";
+  if (c.cores_per_workload == 0) return "cores_per_workload must be > 0";
+  if (!(c.heat_decay > 0.0) || c.heat_decay > 1.0) {
+    return "heat_decay must be in (0, 1]";
+  }
+  if (c.timeseries.window == 0) return "timeseries.window must be > 0 cycles";
+  if (c.timeseries.retention == 0) {
+    return "timeseries.retention must be > 0 windows";
+  }
+  if (!(c.timeseries.ewma_alpha > 0.0) || c.timeseries.ewma_alpha > 1.0) {
+    return "timeseries.ewma_alpha must be in (0, 1]";
+  }
+  if (c.flight_epochs == 0) return "flight_epochs must be > 0";
+  for (const obs::SloSpec& rule : c.slo_rules) {
+    if (rule.name.empty()) return "SLO rules must be named";
+    if (!(rule.sustain_s > 0.0)) {
+      return "SLO rule \"" + rule.name + "\" must sustain for > 0 s";
+    }
+  }
+  if (c.custom_tiers) {
+    const auto& tiers = *c.custom_tiers;
+    if (tiers.empty()) return "custom tier list must not be empty";
+    if (tiers.size() > mem::kMaxTiers) {
+      return "custom tier list has " + std::to_string(tiers.size()) +
+             " tiers; at most " + std::to_string(mem::kMaxTiers) +
+             " are supported";
+    }
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      if (tiers[t].capacity_pages == 0) {
+        return "tier \"" + tiers[t].name + "\" has zero capacity";
+      }
+      if (t > 0 &&
+          tiers[t].unloaded_latency_ns < tiers[0].unloaded_latency_ns) {
+        return "tier 0 must be the fastest tier: \"" + tiers[t].name +
+               "\" has lower unloaded latency than \"" + tiers[0].name +
+               "\"";
+      }
+    }
+  }
+  return {};
+}
+
+namespace {
+
+// Validates in the member-initializer list without moving `config`: the
+// members after config_ are still built from the constructor's parameter.
+const TieredSystem::Config& checked(const TieredSystem::Config& config) {
+  if (std::string error = TieredSystem::validate(config); !error.empty()) {
+    throw std::invalid_argument(error);
+  }
+  return config;
+}
+
+}  // namespace
+
 TieredSystem::TieredSystem(Config config,
                            std::unique_ptr<policy::SystemPolicy> policy)
-    : config_(config),
+    : config_(checked(config)),
       trace_(config.trace_capacity),
       provenance_(config.provenance),
       policy_(std::move(policy)),
@@ -33,7 +92,7 @@ TieredSystem::TieredSystem(Config config,
   mmu_cfg.pwc_enabled = config_.pwc;
   mmu_ = std::make_unique<vm::Mmu>(mmu_cfg);
   mmu_->set_obs(root.sub("vm.tlb"));
-  shootdowns_ = std::make_unique<vm::ShootdownController>(cost_, mmu_.get());
+  shootdowns_ = std::make_unique<vm::ShootdownController>(cost_, *mmu_);
   shootdowns_->set_obs(root.sub("vm.shootdown"));
   policy_->set_obs(root.sub("policy"));
   if (config_.admission.enabled) {
@@ -222,7 +281,7 @@ void TieredSystem::simulate_accesses(ManagedWorkload& mw,
   const bool shadowing = mw.migrator->config().shadowing;
 
   // Loaded latencies from last epoch's utilisation (one-epoch lag).
-  std::array<double, 8> tier_latency{};
+  std::array<double, mem::kMaxTiers> tier_latency{};
   for (std::size_t t = 0; t < topo_->tier_count(); ++t) {
     tier_latency[t] = static_cast<double>(
         topo_->latency_model(static_cast<mem::TierId>(t))

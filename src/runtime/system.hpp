@@ -55,14 +55,14 @@ enum class ProfilerKind : std::uint8_t {
 
 class TieredSystem {
  public:
-  /// Deprecated construction shim: prefer runtime::SystemBuilder
-  /// (runtime/builder.hpp), which validates at build() time and reports
-  /// errors instead of silently accepting bad setups. Kept so existing
-  /// harnesses keep compiling; the builder fills in this struct.
+  /// Everything a system is built from. Fill one in and construct a
+  /// TieredSystem directly, or let runtime::SystemBuilder fill it in;
+  /// both paths check it with validate().
   struct Config {
     sim::MachineConfig machine;
     /// Override the two-tier paper testbed with an arbitrary topology
-    /// (e.g. HBM + DRAM + CXL three-tier). Tier 0 must be the fastest.
+    /// (e.g. HBM + DRAM + CXL three-tier). Tier 0 must be the fastest, and
+    /// at most mem::kMaxTiers tiers are supported.
     std::optional<std::vector<mem::TierConfig>> custom_tiers;
     sim::Cycles epoch = sim::CpuClock::from_millis(250);
     /// Simulated access samples per workload per epoch; each carries the
@@ -142,6 +142,13 @@ class TieredSystem {
     mig::AdmissionSpec admission;
   };
 
+  /// Why `config` cannot be run, or an empty string when it can. The one
+  /// check behind both construction paths: the constructor throws its
+  /// message, SystemBuilder::build() returns it as the error.
+  static std::string validate(const Config& config);
+
+  /// Throws std::invalid_argument with validate()'s message when `config`
+  /// is invalid.
   TieredSystem(Config config, std::unique_ptr<policy::SystemPolicy> policy);
   ~TieredSystem();
   TieredSystem(const TieredSystem&) = delete;
@@ -237,11 +244,6 @@ class TieredSystem {
   /// The translation facade: per-core TLBs + page-walk cache.
   vm::Mmu& mmu() { return *mmu_; }
   const vm::Mmu& mmu() const { return *mmu_; }
-  /// Deprecated shims for pre-Mmu call sites (auditor hooks and
-  /// fault-injection tests reached the TLB vector directly); removal
-  /// planned once out-of-tree callers go through mmu().tlbs().
-  std::vector<vm::Tlb>& tlbs() { return mmu_->tlbs(); }
-  const std::vector<vm::Tlb>& tlbs() const { return mmu_->tlbs(); }
 
   /// Snapshot of the machine for the invariant auditor.
   check::SystemView audit_view() const;

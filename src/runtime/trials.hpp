@@ -1,11 +1,9 @@
 // Multi-trial experiment statistics: the paper reports means with 95%
-// confidence intervals over repeated seeded trials; this helper runs the
-// trials and produces those numbers for any scalar metric.
+// confidence intervals over repeated seeded trials; this helper turns the
+// accumulated trial results of any scalar metric into those error bars.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
-#include <functional>
 
 #include "sim/stats.hpp"
 
@@ -28,27 +26,5 @@ inline double ci95_halfwidth(const sim::RunningStat& stat) {
       stat.variance() * static_cast<double>(n) / static_cast<double>(n - 1);
   return t * std::sqrt(var_sample / static_cast<double>(n));
 }
-
-/// Runs `fn(seed)` once per trial with seeds base, base+1, ... and
-/// accumulates the returned scalar.
-class TrialRunner {
- public:
-  explicit TrialRunner(unsigned trials, std::uint64_t base_seed = 100)
-      : trials_(trials), base_seed_(base_seed) {}
-
-  sim::RunningStat run(const std::function<double(std::uint64_t)>& fn) const {
-    sim::RunningStat stat;
-    for (unsigned t = 0; t < trials_; ++t) {
-      stat.add(fn(base_seed_ + t));
-    }
-    return stat;
-  }
-
-  unsigned trials() const { return trials_; }
-
- private:
-  unsigned trials_;
-  std::uint64_t base_seed_;
-};
 
 }  // namespace vulcan::runtime

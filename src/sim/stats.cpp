@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 namespace vulcan::sim {
@@ -52,60 +51,6 @@ double Ema::update(double x) {
     value_ = alpha_ * x + (1.0 - alpha_) * value_;
   }
   return value_;
-}
-
-namespace {
-std::size_t bucket_index(std::uint64_t value) {
-  return value <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(value) - 1);
-}
-}  // namespace
-
-void LogHistogram::add(std::uint64_t value, std::uint64_t weight) {
-  const std::size_t b = bucket_index(value);
-  if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
-  buckets_[b] += weight;
-  total_ += weight;
-  sum_ += static_cast<double>(value) * static_cast<double>(weight);
-}
-
-double LogHistogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double seen = 0.0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const double c = static_cast<double>(buckets_[b]);
-    if (seen + c >= target && c > 0.0) {
-      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b));
-      const double hi = std::ldexp(1.0, static_cast<int>(b) + 1);
-      const double frac = c > 0.0 ? (target - seen) / c : 0.0;
-      return lo + frac * (hi - lo);
-    }
-    seen += c;
-  }
-  return std::ldexp(1.0, static_cast<int>(buckets_.size()));
-}
-
-double TimeSeries::mean() const {
-  if (points_.empty()) return 0.0;
-  double s = 0.0;
-  for (const auto& p : points_) s += p.value;
-  return s / static_cast<double>(points_.size());
-}
-
-double TimeSeries::time_weighted_mean(Cycles t0, Cycles t1) const {
-  if (points_.empty() || t1 <= t0) return 0.0;
-  double acc = 0.0;
-  Cycles covered = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const Cycles start = std::max(points_[i].time, t0);
-    const Cycles end =
-        std::min(i + 1 < points_.size() ? points_[i + 1].time : t1, t1);
-    if (end <= start) continue;
-    acc += points_[i].value * static_cast<double>(end - start);
-    covered += end - start;
-  }
-  return covered ? acc / static_cast<double>(covered) : 0.0;
 }
 
 }  // namespace vulcan::sim

@@ -1,13 +1,8 @@
 // Lightweight statistics primitives shared by the whole simulator:
-// running moments, exponential moving averages, log-bucketed histograms and
-// timestamped series.
+// running moments and exponential moving averages.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "sim/clock.hpp"
 
 namespace vulcan::sim {
 
@@ -53,51 +48,6 @@ class Ema {
   double alpha_;
   double value_ = 0.0;
   bool primed_ = false;  // first sample seeds the average directly
-};
-
-/// Histogram over non-negative integers with power-of-two buckets
-/// (bucket b holds values in [2^b, 2^(b+1)), bucket 0 holds {0, 1}).
-/// Supports approximate quantiles; exact enough for latency reporting.
-class LogHistogram {
- public:
-  void add(std::uint64_t value, std::uint64_t weight = 1);
-  std::uint64_t count() const { return total_; }
-  double mean() const { return total_ ? sum_ / static_cast<double>(total_) : 0.0; }
-
-  /// Approximate quantile (q in [0,1]): linear interpolation inside the
-  /// containing bucket.
-  double quantile(double q) const;
-
-  /// Bucket counts, index = floor(log2(max(value,1))).
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
-  double sum_ = 0.0;
-};
-
-/// A timestamped scalar series, e.g. per-epoch FTHR of one workload.
-class TimeSeries {
- public:
-  void record(Cycles t, double value) { points_.push_back({t, value}); }
-
-  struct Point {
-    Cycles time;
-    double value;
-  };
-  const std::vector<Point>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
-  std::size_t size() const { return points_.size(); }
-
-  double last() const { return points_.empty() ? 0.0 : points_.back().value; }
-  double mean() const;
-
-  /// Time-weighted mean over [t0, t1] assuming step interpolation.
-  double time_weighted_mean(Cycles t0, Cycles t1) const;
-
- private:
-  std::vector<Point> points_;
 };
 
 }  // namespace vulcan::sim

@@ -79,15 +79,6 @@ void PageTable::detach_leaf(Vpn vpn) {
   }
 }
 
-void PageTable::for_each(const std::function<void(Vpn, Pte)>& fn) const {
-  visit(fn);
-}
-
-void PageTable::for_each_leaf(
-    const std::function<void(Vpn, LeafTable&)>& fn) {
-  visit_leaves(fn);
-}
-
 std::uint64_t PageTable::upper_node_count() const {
   std::uint64_t nodes = 1;  // the PGD itself
   for (const auto& pud : root_->puds) {

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "vm/pte.hpp"
@@ -95,14 +94,6 @@ class PageTable {
   /// Visit every leaf table as (base vpn of its 2 MB range, table).
   template <typename Fn>
   void visit_leaves(Fn&& fn);
-
-  /// Deprecated shim for visit(): the std::function indirection costs a
-  /// call per PTE on scans of millions of entries. Migrate to visit();
-  /// removal planned once out-of-tree callers have moved.
-  void for_each(const std::function<void(Vpn, Pte)>& fn) const;
-
-  /// Deprecated shim for visit_leaves(); same removal note as for_each().
-  void for_each_leaf(const std::function<void(Vpn, LeafTable&)>& fn);
 
   /// Upper-level (PGD/PUD/PMD) node count — the memory that per-thread
   /// replication duplicates. The single PGD root is included.

@@ -76,13 +76,7 @@ bool Tlb::lookup(ProcessId pid, Vpn vpn) {
   ++tick_;
   const bool hit = base_.lookup(make_tag(pid, vpn), tick_) ||
                    huge_.lookup(make_tag(pid, huge_chunk_of(vpn)), tick_);
-  if (hit) {
-    ++stats_.hits;
-    obs_hits_->inc();
-  } else {
-    ++stats_.misses;
-    obs_misses_->inc();
-  }
+  (hit ? obs_hits_ : obs_misses_)->inc();
   return hit;
 }
 
@@ -97,7 +91,6 @@ void Tlb::insert_huge(ProcessId pid, Vpn vpn, std::uint64_t chunk_pfn) {
 void Tlb::invalidate(ProcessId pid, Vpn vpn) {
   base_.invalidate(make_tag(pid, vpn));
   huge_.invalidate(make_tag(pid, huge_chunk_of(vpn)));
-  ++stats_.invalidations;
   obs_invalidations_->inc();
 }
 
@@ -107,18 +100,12 @@ void Tlb::invalidate_pid(ProcessId pid) {
     for (Entry& e : arr.entries) {
       if (e.tag != 0 && (e.tag >> 40) == want) {
         e = Entry{};
-        ++stats_.invalidations;
         obs_invalidations_->inc();
       }
     }
   };
   sweep(base_);
   sweep(huge_);
-}
-
-void Tlb::for_each_entry(
-    const std::function<void(const EntryView&)>& fn) const {
-  visit_entries(fn);
 }
 
 std::size_t Tlb::live_entries() const {
@@ -131,7 +118,6 @@ std::size_t Tlb::live_entries() const {
 void Tlb::flush_all() {
   base_.clear();
   huge_.clear();
-  ++stats_.full_flushes;
   obs_full_flushes_->inc();
 }
 

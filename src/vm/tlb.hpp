@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/scope.hpp"
@@ -22,18 +21,11 @@ class Tlb {
     unsigned ways = 4;
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;  ///< single-entry invalidations received
-    std::uint64_t full_flushes = 0;
-  };
-
   Tlb() : Tlb(Config{}) {}
   explicit Tlb(Config config);
 
   /// Translate lookup: true on hit (base entry for `vpn` or a huge entry
-  /// covering its 2 MB chunk). Updates LRU and hit/miss stats.
+  /// covering its 2 MB chunk). Updates LRU and the hits/misses counters.
   bool lookup(ProcessId pid, Vpn vpn);
 
   /// Install a 4 KB translation (call after a miss + walk). `pfn` records
@@ -58,7 +50,6 @@ class Tlb {
   /// Drop everything (CR3 write without PCID).
   void flush_all();
 
-  const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 
   /// One live entry, decoded for inspection. `page` is the vpn for base
@@ -90,10 +81,6 @@ class Tlb {
     scan(base_, /*huge=*/false);
     scan(huge_, /*huge=*/true);
   }
-
-  /// Deprecated shim for visit_entries(); kept for source compatibility
-  /// with external harnesses, removal planned once they migrate.
-  void for_each_entry(const std::function<void(const EntryView&)>& fn) const;
 
   /// Live entries across both arrays.
   std::size_t live_entries() const;
@@ -133,7 +120,6 @@ class Tlb {
   Config config_;
   SetArray base_;
   SetArray huge_;
-  Stats stats_;
   std::uint64_t tick_ = 0;
   obs::Counter* obs_hits_ = &obs::detail::dummy_counter;
   obs::Counter* obs_misses_ = &obs::detail::dummy_counter;

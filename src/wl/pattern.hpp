@@ -6,8 +6,8 @@
 // and hot-set (a small fraction of pages receiving most accesses).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "sim/rng.hpp"
 #include "wl/zipf.hpp"
@@ -162,29 +162,6 @@ class SkewedHotsetPattern final : public AccessPattern {
   double hot_probability_;
   double write_ratio_;
   ScrambledZipfianGenerator hot_zipf_;
-};
-
-/// Mixture of two patterns: with probability `p_first` draw from `first`.
-/// Used to compose e.g. sequential scans with random lookups (in-memory
-/// databases combine both, per the paper's introduction).
-class MixturePattern final : public AccessPattern {
- public:
-  MixturePattern(std::unique_ptr<AccessPattern> first,
-                 std::unique_ptr<AccessPattern> second, double p_first)
-      : first_(std::move(first)), second_(std::move(second)),
-        p_first_(p_first) {}
-
-  PageAccess next(sim::Rng& rng) override {
-    return rng.chance(p_first_) ? first_->next(rng) : second_->next(rng);
-  }
-  std::uint64_t pages() const override {
-    return std::max(first_->pages(), second_->pages());
-  }
-
- private:
-  std::unique_ptr<AccessPattern> first_;
-  std::unique_ptr<AccessPattern> second_;
-  double p_first_;
 };
 
 }  // namespace vulcan::wl

@@ -126,7 +126,7 @@ TEST(AuditorFaultInjection, StaleTlbEntryIsCaughtAsMissedShootdown) {
   const vm::Vpn vpn = as.vpn_at(0);
   ASSERT_TRUE(as.mapped(vpn));
   const mem::Pfn wrong = as.tables().get(vpn).pfn() + 1;
-  sys.tlbs()[0].insert(as.pid(), vpn, wrong);
+  sys.mmu().tlbs()[0].insert(as.pid(), vpn, wrong);
 
   const AuditReport& report = sys.run_audit();
   EXPECT_FALSE(report.ok());
@@ -148,7 +148,7 @@ TEST(AuditorFaultInjection, HugeEntryForSplitChunkIsCaught) {
   ASSERT_TRUE(as.mapped(vpn));
   as.split_chunk(vpn);
   ASSERT_FALSE(as.is_huge(vpn));
-  sys.tlbs()[0].insert_huge(as.pid(), vpn, as.tables().get(vpn).pfn());
+  sys.mmu().tlbs()[0].insert_huge(as.pid(), vpn, as.tables().get(vpn).pfn());
 
   const AuditReport& report = sys.run_audit();
   EXPECT_FALSE(report.ok());

@@ -7,6 +7,7 @@
 #include "core/manager.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/system.hpp"
+#include "vm/mmu.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::core {
@@ -180,8 +181,8 @@ TEST(DmaCopy, ReducesCpuCyclesPerMigration) {
       as.fault(as.vpn_at(i), th, false, mem::kSlowTier);
     }
     sim::CostModel cost;
-    std::vector<vm::Tlb> tlbs(4);
-    vm::ShootdownController ctrl(cost, &tlbs);
+    vm::Mmu mmu(vm::Mmu::Config{.cores = 4});
+    vm::ShootdownController ctrl(cost, mmu);
     mig::Migrator::Config mc;
     mc.process_cores = {1, 2};
     mc.dma_copy = dma;

@@ -5,6 +5,7 @@
 #include "core/manager.hpp"
 #include "mig/migrator.hpp"
 #include "runtime/system.hpp"
+#include "vm/mmu.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::mig {
@@ -19,8 +20,9 @@ mem::Topology two_tier_topo() {
 class ChunkMigrationTest : public ::testing::Test {
  protected:
   ChunkMigrationTest()
-      : topo_(make_topo()), as_(make_cfg(), topo_), tlbs_(8),
-        shootdowns_(cost_, &tlbs_), rng_(3) {
+      : topo_(make_topo()), as_(make_cfg(), topo_),
+        mmu_(vm::Mmu::Config{.cores = 8}), shootdowns_(cost_, mmu_),
+        rng_(3) {
     thread_ = as_.add_thread();
     // Two full chunks, faulted as base pages into the slow tier.
     for (std::uint64_t p = 0; p < 1024; ++p) {
@@ -57,7 +59,7 @@ class ChunkMigrationTest : public ::testing::Test {
   sim::CostModel cost_;
   mem::Topology topo_;
   vm::AddressSpace as_;
-  std::vector<vm::Tlb> tlbs_;
+  vm::Mmu mmu_;
   vm::ShootdownController shootdowns_;
   sim::Rng rng_;
   vm::ThreadId thread_ = 0;

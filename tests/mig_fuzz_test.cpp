@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "mig/migrator.hpp"
+#include "vm/mmu.hpp"
 
 namespace vulcan::mig {
 namespace {
@@ -30,8 +31,8 @@ TEST_P(MigratorFuzzP, RandomRequestStreamsPreserveInvariants) {
   for (unsigned t = 0; t < kThreads; ++t) as.add_thread();
 
   sim::CostModel cost;
-  std::vector<vm::Tlb> tlbs(8);
-  vm::ShootdownController ctrl(cost, &tlbs);
+  vm::Mmu mmu(vm::Mmu::Config{.cores = 8});
+  vm::ShootdownController ctrl(cost, mmu);
   Migrator::Config mcfg;
   mcfg.process_cores = {0, 1, 2, 3};
   mcfg.shadowing = shadowing;
@@ -85,7 +86,7 @@ TEST_P(MigratorFuzzP, RandomRequestStreamsPreserveInvariants) {
     // 1. Frame conservation: allocator usage == mapped census (+ shadows).
     std::uint64_t census[2] = {0, 0};
     std::unordered_set<mem::Pfn> live_pfns;
-    as.tables().process_table().for_each([&](vm::Vpn, vm::Pte pte) {
+    as.tables().process_table().visit([&](vm::Vpn, vm::Pte pte) {
       ++census[mem::tier_of(pte.pfn())];
       ASSERT_TRUE(live_pfns.insert(pte.pfn()).second)
           << "two vpns share one frame";
@@ -97,7 +98,7 @@ TEST_P(MigratorFuzzP, RandomRequestStreamsPreserveInvariants) {
     ASSERT_EQ(as.pages_in_tier(mem::kSlowTier), census[1]);
 
     // 2. Shadows never alias a live mapping's frame.
-    as.tables().process_table().for_each([&](vm::Vpn vpn, vm::Pte pte) {
+    as.tables().process_table().visit([&](vm::Vpn vpn, vm::Pte pte) {
       if (const auto shadow = m.shadows().peek(vpn)) {
         ASSERT_NE(*shadow, pte.pfn());
         ASSERT_EQ(mem::tier_of(*shadow), mem::kSlowTier);

@@ -13,8 +13,8 @@ class MigratorTest : public ::testing::Test {
   MigratorTest()
       : topo_(make_topo()),
         as_(make_as_config(), topo_),
-        tlbs_(8),
-        shootdowns_(cost_, &tlbs_),
+        mmu_(vm::Mmu::Config{.cores = 8}),
+        shootdowns_(cost_, mmu_),
         rng_(7) {
     thread_ = as_.add_thread();
     as_.add_thread();
@@ -60,7 +60,8 @@ class MigratorTest : public ::testing::Test {
   sim::CostModel cost_;
   mem::Topology topo_;
   vm::AddressSpace as_;
-  std::vector<vm::Tlb> tlbs_;
+  vm::Mmu mmu_;
+  std::vector<vm::Tlb>& tlbs_ = mmu_.tlbs();
   vm::ShootdownController shootdowns_;
   sim::Rng rng_;
   vm::ThreadId thread_ = 0;

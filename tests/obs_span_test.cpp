@@ -399,6 +399,41 @@ TEST(SystemSpans, PerfettoExportIsValidAndNested) {
   }
 }
 
+TEST(Perfetto, NamesEveryEventKind) {
+  // One event of each kind, in enum order; the span begin/end pair forms
+  // one well-formed epoch span and every other kind an instant event.
+  TraceRing ring;
+  std::size_t flat = 0;
+  for (auto k = static_cast<std::uint8_t>(EventKind::kEpochStart);
+       k <= static_cast<std::uint8_t>(EventKind::kWorkloadDeparted); ++k) {
+    TraceEvent e;
+    e.time = k;
+    e.kind = static_cast<EventKind>(k);
+    if (e.kind == EventKind::kSpanBegin || e.kind == EventKind::kSpanEnd) {
+      e.a = SpanAttrs{}.encode();
+      e.b = 1;
+    } else {
+      ++flat;
+    }
+    ring.emit(e);
+  }
+  std::ostringstream out;
+  ASSERT_TRUE(write_perfetto(ring.events(), out));
+
+  std::vector<std::string> instants;
+  for (const PerfettoRecord& r : scan_perfetto(out.str())) {
+    if (r.ph != 'i') continue;
+    EXPECT_NE(r.name, "?");
+    instants.push_back(r.name);
+  }
+  EXPECT_EQ(instants.size(), flat);
+  for (const char* name : {"mig_abort", "workload_departed"}) {
+    EXPECT_NE(std::find(instants.begin(), instants.end(), name),
+              instants.end())
+        << name;
+  }
+}
+
 TEST(SystemSpans, ExportsAreByteIdenticalAcrossIdenticalSeeds) {
   const auto render = [] {
     const auto sys = run_fixed_seed(4);

@@ -125,7 +125,7 @@ TEST(Cascade, InvariantsHoldInThreeTierChurn) {
   for (int round = 0; round < 5; ++round) {
     sys.run_epochs(6);
     std::uint64_t census[3] = {0, 0, 0};
-    sys.address_space(0).tables().process_table().for_each(
+    sys.address_space(0).tables().process_table().visit(
         [&](vm::Vpn, vm::Pte pte) { ++census[mem::tier_of(pte.pfn())]; });
     for (int t = 0; t < 3; ++t) {
       ASSERT_EQ(sys.topology().allocator(static_cast<mem::TierId>(t)).used(),

@@ -19,7 +19,7 @@ class AdvancedProfilerTest : public ::testing::Test {
       as_.clear_accessed(as_.vpn_at(p));
     }
     // Faulting sets region flags; reset so tests start idle.
-    as_.tables().process_table().for_each_leaf(
+    as_.tables().process_table().visit_leaves(
         [](vm::Vpn, vm::LeafTable& leaf) { leaf.clear_region_accessed(); });
   }
 

@@ -90,8 +90,9 @@ TEST(AdmissionRuntime, WiredButDisabledIsByteIdentical) {
   EXPECT_EQ(a.str(), b.str()) << "no adm.* keys, no behaviour drift";
 
   std::ostringstream ca, cb;
-  plain->metrics().write_csv(ca);
-  wired->metrics().write_csv(cb);
+  obs::CsvExporter ca_csv(ca), cb_csv(cb);
+  plain->metrics().write(ca_csv);
+  wired->metrics().write(cb_csv);
   EXPECT_EQ(ca.str(), cb.str());
 }
 

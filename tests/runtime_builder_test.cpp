@@ -2,13 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "runtime/experiment.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::runtime {
 namespace {
+
+/// The message constructing a TieredSystem directly from `config` throws,
+/// or an empty string when construction succeeds.
+std::string construction_error(const TieredSystem::Config& config) {
+  try {
+    TieredSystem sys(config, make_policy("vulcan"));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// `n` tiers of 4096 pages each, slower and narrower the deeper they sit.
+std::vector<mem::TierConfig> tiers_of_4096(std::size_t n) {
+  std::vector<mem::TierConfig> tiers;
+  for (std::size_t t = 0; t < n; ++t) {
+    tiers.push_back({"tier" + std::to_string(t), 4096, 70 + 20 * t,
+                     205.0 / static_cast<double>(t + 1)});
+  }
+  return tiers;
+}
 
 TEST(SystemBuilder, DefaultsBuildAWorkingSystem) {
   auto built = SystemBuilder{}.build();
@@ -82,6 +107,85 @@ TEST(SystemBuilder, AcceptsValidThreeTierTopology) {
   EXPECT_TRUE(built.ok()) << built.error();
 }
 
+TEST(SystemBuilder, BothPathsRejectMoreTiersThanTheEngineHolds) {
+  auto built =
+      SystemBuilder{}.tiers(tiers_of_4096(mem::kMaxTiers + 1)).build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.error(),
+            "custom tier list has 9 tiers; at most 8 are supported");
+
+  TieredSystem::Config config;
+  config.custom_tiers = tiers_of_4096(mem::kMaxTiers + 1);
+  EXPECT_EQ(construction_error(config), built.error());
+}
+
+TEST(SystemBuilder, MaxTiersRunAuditedUnderEveryPolicy) {
+  constexpr mem::TierId kDeepest = mem::kMaxTiers - 1;
+  for (const std::string& policy : all_policy_names()) {
+    SCOPED_TRACE(policy);
+    // Two prefaulted 15360-page apps overflow the first seven tiers, so
+    // the deepest tier holds pages throughout.
+    wl::MicrobenchWorkload::Params params;
+    params.rss_pages = 15360;
+    params.wss_pages = 4096;
+    auto built = SystemBuilder{}
+                     .tiers(tiers_of_4096(mem::kMaxTiers))
+                     .samples_per_epoch(2000)
+                     .audit(check::AuditLevel::kFull)
+                     .policy(policy)
+                     .add_workload(
+                         std::make_unique<wl::MicrobenchWorkload>(params))
+                     .add_workload(
+                         std::make_unique<wl::MicrobenchWorkload>(params))
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    TieredSystem& sys = *built.value();
+    sys.prefault(0);
+    sys.prefault(1);
+    sys.run_epochs(8);
+    EXPECT_TRUE(sys.last_audit().ok());
+    EXPECT_GT(sys.last_audit().checks, 0u);
+    EXPECT_LT(sys.topology().free_pages(kDeepest),
+              sys.topology().capacity_pages(kDeepest));
+  }
+}
+
+TEST(SystemBuilder, DirectConstructionThrowsTheMessageBuildReturns) {
+  using Breaker = std::function<void(TieredSystem::Config&)>;
+  const std::vector<Breaker> breakers = {
+      [](TieredSystem::Config& c) { c.machine.cores = 0; },
+      [](TieredSystem::Config& c) { c.epoch = 0; },
+      [](TieredSystem::Config& c) { c.samples_per_epoch = 0; },
+      [](TieredSystem::Config& c) { c.cores_per_workload = 0; },
+      [](TieredSystem::Config& c) { c.heat_decay = 1.5; },
+      [](TieredSystem::Config& c) { c.timeseries.window = 0; },
+      [](TieredSystem::Config& c) { c.timeseries.retention = 0; },
+      [](TieredSystem::Config& c) { c.timeseries.ewma_alpha = 0.0; },
+      [](TieredSystem::Config& c) { c.flight_epochs = 0; },
+      [](TieredSystem::Config& c) { c.slo_rules.emplace_back(); },
+      [](TieredSystem::Config& c) {
+        c.custom_tiers = std::vector<mem::TierConfig>{};
+      },
+      [](TieredSystem::Config& c) {
+        c.custom_tiers = std::vector<mem::TierConfig>{
+            {"cxl", 1024, 162, 25.0}, {"dram", 1024, 70, 205.0}};
+      },
+  };
+  for (std::size_t i = 0; i < breakers.size(); ++i) {
+    SCOPED_TRACE(i);
+    SystemBuilder builder;
+    breakers[i](builder.config());
+    const BuildResult built = builder.build();
+    ASSERT_FALSE(built.ok());
+
+    TieredSystem::Config config;
+    breakers[i](config);
+    EXPECT_EQ(TieredSystem::validate(config), built.error());
+    EXPECT_EQ(construction_error(config), built.error());
+  }
+  EXPECT_EQ(construction_error(TieredSystem::Config{}), "");
+}
+
 TEST(SystemBuilder, UnknownPolicyNameIsAnErrorNotAThrow) {
   auto built = SystemBuilder{}.policy("colloid").build();
   ASSERT_FALSE(built.ok());
@@ -118,8 +222,9 @@ TEST(SystemBuilder, MatchesLegacyConfigConstructionExactly) {
   sys.run_epochs(kEpochs);
 
   std::ostringstream a, b;
-  legacy.metrics().write_csv(a);
-  sys.metrics().write_csv(b);
+  obs::CsvExporter a_csv(a), b_csv(b);
+  legacy.metrics().write(a_csv);
+  sys.metrics().write(b_csv);
   EXPECT_EQ(a.str(), b.str());
 
   std::ostringstream ja, jb;

@@ -45,7 +45,7 @@ TEST_P(PolicyInvariantsP, SubstrateStaysConsistentUnderChurn) {
       shadows += sys.migrator(w).shadows().size();
       // Internal census equals a ground-truth page-table walk.
       std::uint64_t walk_fast = 0, walk_slow = 0;
-      sys.address_space(w).tables().process_table().for_each(
+      sys.address_space(w).tables().process_table().visit(
           [&](vm::Vpn, vm::Pte pte) {
             (mem::tier_of(pte.pfn()) == mem::kFastTier ? walk_fast
                                                        : walk_slow)++;
@@ -89,7 +89,8 @@ TEST_P(PolicyDeterminismP, IdenticalSeedsIdenticalMetrics) {
     sys.add_workload(std::make_unique<wl::MicrobenchWorkload>(p));
     sys.run_epochs(12);
     std::ostringstream csv;
-    sys.metrics().write_csv(csv);
+    obs::CsvExporter exporter(csv);
+    sys.metrics().write(exporter);
     return csv.str();
   };
   EXPECT_EQ(run(), run());

@@ -65,7 +65,8 @@ TEST(MetricsRecorder, CsvShapeAndContent) {
   MetricsRecorder rec;
   rec.record(make_epoch(0.0, {0.25, 0.75}));
   std::ostringstream out;
-  rec.write_csv(out);
+  obs::CsvExporter exporter(out);
+  rec.write(exporter);
   const std::string csv = out.str();
   // Header + one row per workload per epoch.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
@@ -77,25 +78,31 @@ TEST(MetricsRecorder, CsvShapeAndContent) {
 TEST(MetricsRecorder, EmptyCsvIsJustHeader) {
   MetricsRecorder rec;
   std::ostringstream out;
-  rec.write_csv(out);
+  obs::CsvExporter exporter(out);
+  rec.write(exporter);
   const std::string csv = out.str();
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1);
 }
 
 TEST(MetricsRecorder, ExporterMatchesLegacyCsvOnSyntheticData) {
+  // The exact bytes the retired hand-rolled CSV writer produced for this
+  // table; the exporter must keep reproducing them.
   MetricsRecorder rec;
   rec.record(make_epoch(0.0, {0.25, 0.75}));
   rec.record(make_epoch(0.25, {0.5}));
-  std::ostringstream legacy, modern;
-  rec.write_csv(legacy);
-  obs::CsvExporter csv(modern);
+  std::ostringstream out;
+  obs::CsvExporter csv(out);
   rec.write(csv);
-  EXPECT_EQ(legacy.str(), modern.str());
+  EXPECT_EQ(out.str(),
+            "time_s,workload,fthr,performance,avg_latency_ns,fast_pages,"
+            "slow_pages,quota,accesses,stall_cycles,daemon_cycles,migrated,"
+            "failed,shadow_remaps\n"
+            "0,0,0.25,0.225,0,250,0,0,100,0,0,0,0,0\n"
+            "0,1,0.75,0.675,0,750,0,0,100,0,0,0,0,0\n"
+            "0.25,0,0.5,0.45,0,500,0,0,100,0,0,0,0,0\n");
 }
 
-TEST(MetricsRecorder, ExporterMatchesLegacyCsvOnARealRun) {
-  // Three epochs of the real system: every cell the legacy hand-rolled
-  // writer produced must come out of the unified exporter byte-identical.
+TEST(MetricsRecorder, ExporterCsvShapeOnARealRun) {
   TieredSystem::Config config;
   config.seed = 3;
   config.samples_per_epoch = 2000;
@@ -104,14 +111,12 @@ TEST(MetricsRecorder, ExporterMatchesLegacyCsvOnARealRun) {
   sys.add_workload(wl::make_liblinear(2));
   sys.run_epochs(3);
 
-  std::ostringstream legacy, modern;
-  sys.metrics().write_csv(legacy);
-  obs::CsvExporter csv(modern);
+  std::ostringstream out;
+  obs::CsvExporter csv(out);
   sys.metrics().write(csv);
-  const std::string expected = legacy.str();
-  EXPECT_EQ(expected, modern.str());
+  const std::string table = out.str();
   // Header + 3 epochs x 2 workloads.
-  EXPECT_EQ(std::count(expected.begin(), expected.end(), '\n'), 7);
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 7);
 }
 
 TEST(MetricsRecorder, JsonlExporterEmitsOneObjectPerRow) {

@@ -47,7 +47,8 @@ TEST(TieredSystem, DeterministicForSeed) {
     sys.add_workload(small_microbench(1024, 8192));
     sys.run_epochs(15);
     std::ostringstream csv;
-    sys.metrics().write_csv(csv);
+    obs::CsvExporter exporter(csv);
+    sys.metrics().write(exporter);
     return csv.str();
   };
   EXPECT_EQ(run(), run());
@@ -59,7 +60,8 @@ TEST(TieredSystem, SeedChangesStream) {
     sys.add_workload(small_microbench(2048, 8192));
     sys.run_epochs(10);
     std::ostringstream csv;
-    sys.metrics().write_csv(csv);
+    obs::CsvExporter exporter(csv);
+    sys.metrics().write(exporter);
     return csv.str();
   };
   EXPECT_NE(run(1), run(2));

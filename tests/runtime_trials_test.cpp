@@ -7,18 +7,6 @@
 namespace vulcan::runtime {
 namespace {
 
-TEST(TrialRunner, RunsOncePerSeedInOrder) {
-  std::vector<std::uint64_t> seeds;
-  TrialRunner runner(4, 100);
-  const auto stat = runner.run([&](std::uint64_t seed) {
-    seeds.push_back(seed);
-    return static_cast<double>(seed);
-  });
-  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{100, 101, 102, 103}));
-  EXPECT_EQ(stat.count(), 4u);
-  EXPECT_DOUBLE_EQ(stat.mean(), 101.5);
-}
-
 TEST(Ci95, ZeroForDegenerateSamples) {
   sim::RunningStat s;
   EXPECT_DOUBLE_EQ(ci95_halfwidth(s), 0.0);

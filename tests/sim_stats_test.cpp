@@ -91,55 +91,5 @@ TEST_P(EmaContractionP, StaysBoundedAndConverges) {
 INSTANTIATE_TEST_SUITE_P(Alphas, EmaContractionP,
                          ::testing::Values(0.1, 0.5, 0.8, 1.0));
 
-TEST(LogHistogram, MeanAndCount) {
-  LogHistogram h;
-  h.add(10);
-  h.add(20);
-  h.add(30, 2);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.mean(), (10 + 20 + 30 + 30) / 4.0);
-}
-
-TEST(LogHistogram, QuantileBracketsTrueValue) {
-  LogHistogram h;
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v);
-  // Median should land near 500 within bucket resolution (a factor of 2).
-  const double med = h.quantile(0.5);
-  EXPECT_GE(med, 250.0);
-  EXPECT_LE(med, 1000.0);
-  EXPECT_LE(h.quantile(0.1), h.quantile(0.9));
-}
-
-TEST(LogHistogram, EmptyQuantileIsZero) {
-  LogHistogram h;
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(TimeSeries, MeanAndLast) {
-  TimeSeries ts;
-  ts.record(0, 1.0);
-  ts.record(10, 3.0);
-  EXPECT_DOUBLE_EQ(ts.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(ts.last(), 3.0);
-}
-
-TEST(TimeSeries, TimeWeightedMeanStepInterpolation) {
-  TimeSeries ts;
-  ts.record(0, 1.0);    // value 1 over [0,10)
-  ts.record(10, 3.0);   // value 3 over [10,20)
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(0, 20), 2.0);
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(0, 10), 1.0);
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(10, 20), 3.0);
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(5, 15), 2.0);
-}
-
-TEST(TimeSeries, DegenerateWindows) {
-  TimeSeries ts;
-  EXPECT_EQ(ts.time_weighted_mean(0, 10), 0.0);
-  ts.record(5, 2.0);
-  EXPECT_EQ(ts.time_weighted_mean(10, 10), 0.0);
-  EXPECT_EQ(ts.time_weighted_mean(20, 10), 0.0);
-}
-
 }  // namespace
 }  // namespace vulcan::sim

@@ -99,7 +99,7 @@ TEST(PageTable, ForEachVisitsExactlyPresentMappings) {
     expected[vpn] = pfn;
   }
   std::map<Vpn, mem::Pfn> seen;
-  pt.for_each([&](Vpn vpn, Pte pte) { seen[vpn] = pte.pfn(); });
+  pt.visit([&](Vpn vpn, Pte pte) { seen[vpn] = pte.pfn(); });
   EXPECT_EQ(seen, expected);
 }
 
@@ -136,7 +136,7 @@ TEST_P(PageTableRandomP, MatchesReferenceMap) {
     }
   }
   std::uint64_t count = 0;
-  pt.for_each([&](Vpn vpn, Pte pte) {
+  pt.visit([&](Vpn vpn, Pte pte) {
     ++count;
     auto it = ref.find(vpn);
     ASSERT_NE(it, ref.end());

@@ -5,19 +5,21 @@
 #include <array>
 #include <vector>
 
+#include "vm/mmu.hpp"
+
 namespace vulcan::vm {
 namespace {
 
 class ShootdownTest : public ::testing::Test {
  protected:
-  ShootdownTest() : ctrl_(cost_, &tlbs_) {
-    tlbs_.resize(4);
+  ShootdownTest() {
     for (CoreId c = 0; c < 4; ++c) tlbs_[c].insert(1, 100);
   }
 
   sim::CostModel cost_;
-  std::vector<Tlb> tlbs_;
-  ShootdownController ctrl_;
+  Mmu mmu_{Mmu::Config{.cores = 4}};
+  std::vector<Tlb>& tlbs_ = mmu_.tlbs();
+  ShootdownController ctrl_{cost_, mmu_};
 };
 
 TEST_F(ShootdownTest, SingleInvalidatesInitiatorAndTargets) {
@@ -81,8 +83,10 @@ TEST_F(ShootdownTest, StatsAccumulate) {
 }
 
 TEST(ShootdownNoTlbs, PureCostStudyWorks) {
+  // Nothing cached anywhere: the controller still charges the cold cost.
   sim::CostModel cost;
-  ShootdownController ctrl(cost, static_cast<Mmu*>(nullptr));
+  Mmu mmu(Mmu::Config{});
+  ShootdownController ctrl(cost, mmu);
   const std::array<CoreId, 31> targets{};
   const auto c = ctrl.shoot_single(0, targets, 1, 1);
   EXPECT_EQ(c, cost.shootdown_cold(31));

@@ -2,18 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/scope.hpp"
 #include "sim/rng.hpp"
 
 namespace vulcan::vm {
 namespace {
 
-TEST(Tlb, MissThenHit) {
+/// A TLB reporting into a registry under vm.tlb.*, as the runtime wires it.
+struct CountedTlb {
+  explicit CountedTlb(Tlb::Config config = {}) : tlb(config) {
+    tlb.set_obs(obs::Scope(&registry, nullptr, nullptr, "vm.tlb"));
+  }
+  std::uint64_t count(const std::string& name) const {
+    return registry.counter_value("vm.tlb." + name);
+  }
+
+  obs::Registry registry;  // outlives the counters the TLB points into
   Tlb tlb;
+};
+
+TEST(Tlb, MissThenHit) {
+  CountedTlb counted;
+  Tlb& tlb = counted.tlb;
   EXPECT_FALSE(tlb.lookup(1, 100));
   tlb.insert(1, 100);
   EXPECT_TRUE(tlb.lookup(1, 100));
-  EXPECT_EQ(tlb.stats().hits, 1u);
-  EXPECT_EQ(tlb.stats().misses, 1u);
+  EXPECT_EQ(counted.count("hits"), 1u);
+  EXPECT_EQ(counted.count("misses"), 1u);
 }
 
 TEST(Tlb, ProcessIdsAreDisjoint) {
@@ -24,19 +41,21 @@ TEST(Tlb, ProcessIdsAreDisjoint) {
 }
 
 TEST(Tlb, InvalidateRemovesEntry) {
-  Tlb tlb;
+  CountedTlb counted;
+  Tlb& tlb = counted.tlb;
   tlb.insert(1, 100);
   tlb.invalidate(1, 100);
   EXPECT_FALSE(tlb.lookup(1, 100));
-  EXPECT_EQ(tlb.stats().invalidations, 1u);
+  EXPECT_EQ(counted.count("invalidations"), 1u);
 }
 
 TEST(Tlb, FlushAllRemovesEverything) {
-  Tlb tlb;
+  CountedTlb counted;
+  Tlb& tlb = counted.tlb;
   for (Vpn v = 0; v < 100; ++v) tlb.insert(1, v);
   tlb.flush_all();
   for (Vpn v = 0; v < 100; ++v) EXPECT_FALSE(tlb.lookup(1, v));
-  EXPECT_EQ(tlb.stats().full_flushes, 1u);
+  EXPECT_EQ(counted.count("full_flushes"), 1u);
 }
 
 TEST(Tlb, HugeEntryCoversWholeChunk) {
@@ -88,7 +107,8 @@ class TlbChurnP : public ::testing::TestWithParam<std::uint64_t> {};
 // either invalidated, flushed, or evicted by >= associativity conflicts.
 TEST_P(TlbChurnP, StatsAreConsistent) {
   sim::Rng rng(GetParam());
-  Tlb tlb;
+  CountedTlb counted;
+  Tlb& tlb = counted.tlb;
   std::uint64_t lookups = 0;
   for (int i = 0; i < 20'000; ++i) {
     const Vpn vpn = rng.below(4096);
@@ -107,7 +127,7 @@ TEST_P(TlbChurnP, StatsAreConsistent) {
         break;
     }
   }
-  EXPECT_EQ(tlb.stats().hits + tlb.stats().misses, lookups);
+  EXPECT_EQ(counted.count("hits") + counted.count("misses"), lookups);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TlbChurnP, ::testing::Values(3, 6, 9));

@@ -113,19 +113,6 @@ TEST(SkewedHotsetPattern, GradientSurvivesThresholds) {
   EXPECT_GT(counts[4], 3 * counts[50]) << "top keys dominate the median";
 }
 
-TEST(MixturePattern, BlendsSources) {
-  auto seq = std::make_unique<SequentialPattern>(10, 0.0);
-  auto uni = std::make_unique<UniformPattern>(1000, 0.0);
-  MixturePattern p(std::move(seq), std::move(uni), 0.5);
-  sim::Rng rng(9);
-  int low = 0;
-  constexpr int kN = 50'000;
-  for (int i = 0; i < kN; ++i) low += p.next(rng).page < 10;
-  // ~50% sequential (all < 10) plus ~0.5% of uniform draws.
-  EXPECT_NEAR(static_cast<double>(low) / kN, 0.505, 0.02);
-  EXPECT_EQ(p.pages(), 1000u);
-}
-
 class WriteRatioP : public ::testing::TestWithParam<double> {};
 
 // Property: every pattern honours its write ratio.
