@@ -102,12 +102,15 @@ void capture_flight_dumps(const runtime::ScenarioSpec& spec,
   for (const std::string& policy : policies) {
     const std::string path =
         dir + "/" + spec.name + "-" + policy + ".flight.json";
-    runtime::SystemBuilder b;
-    if (spec.configure) spec.configure(b);
-    b.seed(spec.seed).policy(std::string_view(policy)).flight_dump(path);
-    runtime::BuildResult built = b.build();
-    if (!built) continue;
-    runtime::TieredSystem& sys = *built.value();
+    std::unique_ptr<runtime::TieredSystem> built;
+    try {
+      built = runtime::build_scenario(
+          spec, policy,
+          [&path](runtime::SystemBuilder& b) { b.flight_dump(path); });
+    } catch (const std::exception&) {
+      continue;
+    }
+    runtime::TieredSystem& sys = *built;
     bool threw = false;
     try {
       runtime::run_staged(sys, spec.stage(), spec.seconds);
@@ -168,14 +171,14 @@ std::string serialize_battery(
     // Likewise the admission ablation columns: present only when the
     // scenario set admission_compare, absent (and digest-neutral) otherwise.
     if (s.admission) {
-      const runtime::AdmissionCompare& a = *s.admission;
+      const runtime::PolicyRunSummary& a = *s.admission;
       out << "admission jain ";
       write_double(out, a.jain);
       out << " cfi ";
       write_double(out, a.cfi);
       out << "\nadmission cost " << a.pages_migrated << " "
-          << a.shootdown_ipis << " base " << a.base_pages_migrated << " "
-          << a.base_shootdown_ipis << " verdicts " << a.admitted << " "
+          << a.shootdown_ipis << " base " << s.pages_migrated << " "
+          << s.shootdown_ipis << " verdicts " << a.admitted << " "
           << a.vetoed << "\n";
       for (const auto& [name, slowdown] : a.apps) {
         out << "admission app " << name << " ";

@@ -87,7 +87,10 @@ struct FuzzResult {
 
 /// Canonical byte serialization of a battery's summaries (policy order,
 /// hexfloat doubles, full registry snapshot). Identical runs produce
-/// identical bytes; the fuzzer compares these across job counts.
+/// identical bytes; the fuzzer compares these across job counts. The
+/// summaries' tail-fairness windows and migration-cost totals are left
+/// out (they post-date the pinned digests), except as the admission
+/// ablation's cost line.
 std::string serialize_battery(
     std::span<const runtime::PolicyRunSummary> summaries);
 

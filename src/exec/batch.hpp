@@ -3,8 +3,8 @@
 // The determinism contract: a batch's *merged output is byte-identical for
 // any worker count, including 1*. It holds because
 //
-//   * every job is self-contained — it builds its own SystemBuilder clone,
-//     MetricsRegistry and TraceRing (no shared mutable state), so thread
+//   * every job is self-contained — it builds its own system, registry
+//     and TraceRing (no shared mutable state), so thread
 //     interleaving cannot perturb a result;
 //   * outcomes land in a pre-sized slot vector indexed by submission
 //     order, so the merge order is the submission order no matter which

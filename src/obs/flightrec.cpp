@@ -1,11 +1,12 @@
 #include "obs/flightrec.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string_view>
+
+#include "obs/jsonl_scan.hpp"
 
 namespace vulcan::obs {
 
@@ -58,70 +59,6 @@ void write_joined_lines(std::ostream& out, const std::string& jsonl) {
 }
 
 constexpr std::size_t npos = std::string::npos;
-
-/// Region-bounded raw token after `"key":` — like trace.cpp's raw_field,
-/// plus whitespace and escape awareness (header strings are escaped).
-std::string_view token_in(std::string_view text, std::string_view key,
-                          std::size_t from, std::size_t to) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = text.find(needle, from);
-  if (pos == npos || pos >= to) return {};
-  std::size_t start = pos + needle.size();
-  while (start < to && text[start] == ' ') ++start;
-  std::size_t end = start;
-  bool in_string = false;
-  bool escaped = false;
-  while (end < to) {
-    const char c = text[end];
-    if (escaped) {
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      in_string = !in_string;
-    } else if (!in_string && (c == ',' || c == '}' || c == '\n')) {
-      break;
-    }
-    ++end;
-  }
-  return text.substr(start, end - start);
-}
-
-std::string unquote(std::string_view tok) {
-  if (tok.size() >= 2 && tok.front() == '"' && tok.back() == '"') {
-    tok = tok.substr(1, tok.size() - 2);
-  }
-  std::string out;
-  out.reserve(tok.size());
-  for (std::size_t i = 0; i < tok.size(); ++i) {
-    const char c = tok[i];
-    if (c == '\\' && i + 1 < tok.size()) {
-      const char n = tok[++i];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': i += 4; out += '?'; break;  // lossy, fine for reports
-        default: out += n; break;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::uint64_t tok_u64(std::string_view tok) {
-  return std::strtoull(std::string(tok).c_str(), nullptr, 10);
-}
-
-std::int64_t tok_i64(std::string_view tok) {
-  return std::strtoll(std::string(tok).c_str(), nullptr, 10);
-}
-
-double tok_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
 
 /// Visit every line in text[from, to).
 template <typename Fn>
@@ -278,6 +215,7 @@ bool FlightRecorder::auto_dump(const DumpInfo& info) {
 }
 
 std::optional<FlightDump> FlightDump::parse(std::istream& in) {
+  using namespace jsonl;
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string text = buf.str();
@@ -293,23 +231,22 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
 
   FlightDump d;
   const std::size_t header_end = pos_slo == npos ? tv.size() : pos_slo;
-  d.version = tok_u64(token_in(tv, "flight_version", 0, header_end));
-  d.reason = unquote(token_in(tv, "reason", 0, header_end));
-  d.cause = unquote(token_in(tv, "cause", 0, header_end));
-  d.epoch = tok_u64(token_in(tv, "epoch", 0, header_end));
-  d.t_s = tok_double(token_in(tv, "t_s", 0, header_end));
+  d.version = parse_u64(raw_field(tv, "flight_version", 0, header_end));
+  d.reason = unquote(raw_field(tv, "reason", 0, header_end));
+  d.cause = unquote(raw_field(tv, "cause", 0, header_end));
+  d.epoch = parse_u64(raw_field(tv, "epoch", 0, header_end));
+  d.t_s = parse_double(raw_field(tv, "t_s", 0, header_end));
 
   if (pos_slo != npos && pos_audit != npos) {
     each_line(tv, pos_slo + 1, pos_audit, [&](std::string_view line) {
       if (line.find("\"rule\":") == npos) return;
       SloInstance s;
-      s.rule = unquote(token_in(line, "rule", 0, line.size()));
-      s.severity = unquote(token_in(line, "severity", 0, line.size()));
-      s.app = static_cast<std::int32_t>(
-          tok_i64(token_in(line, "app", 0, line.size())));
-      s.violated = token_in(line, "violated", 0, line.size()) == "true";
-      s.value = tok_double(token_in(line, "value", 0, line.size()));
-      s.violations = tok_u64(token_in(line, "fired", 0, line.size()));
+      s.rule = unquote(raw_field(line, "rule"));
+      s.severity = unquote(raw_field(line, "severity"));
+      s.app = static_cast<std::int32_t>(parse_i64(raw_field(line, "app")));
+      s.violated = raw_field(line, "violated") == "true";
+      s.value = parse_double(raw_field(line, "value"));
+      s.violations = parse_u64(raw_field(line, "fired"));
       d.slo.push_back(std::move(s));
     });
   }
@@ -317,20 +254,19 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
   if (pos_audit != npos) {
     const std::size_t audit_end = pos_trace == npos ? tv.size() : pos_trace;
     d.audit_present =
-        token_in(tv, "present", pos_audit, audit_end) == "true";
+        raw_field(tv, "present", pos_audit, audit_end) == "true";
     if (d.audit_present) {
-      d.audit_epoch = tok_u64(token_in(tv, "epoch", pos_audit, audit_end));
-      d.audit_checks = tok_u64(token_in(tv, "checks", pos_audit, audit_end));
-      d.audit_level = unquote(token_in(tv, "level", pos_audit, audit_end));
+      d.audit_epoch = parse_u64(raw_field(tv, "epoch", pos_audit, audit_end));
+      d.audit_checks = parse_u64(raw_field(tv, "checks", pos_audit, audit_end));
+      d.audit_level = unquote(raw_field(tv, "level", pos_audit, audit_end));
       each_line(tv, pos_audit + 1, audit_end, [&](std::string_view line) {
         if (line.find("\"message\":") == npos) return;
         AuditViolation v;
-        v.rule = unquote(token_in(line, "rule", 0, line.size()));
-        v.workload = static_cast<std::int32_t>(
-            tok_i64(token_in(line, "w", 0, line.size())));
-        v.detail = tok_u64(token_in(line, "detail", 0, line.size()));
-        v.value = tok_double(token_in(line, "value", 0, line.size()));
-        v.message = unquote(token_in(line, "message", 0, line.size()));
+        v.rule = unquote(raw_field(line, "rule"));
+        v.workload = static_cast<std::int32_t>(parse_i64(raw_field(line, "w")));
+        v.detail = parse_u64(raw_field(line, "detail"));
+        v.value = parse_double(raw_field(line, "value"));
+        v.message = unquote(raw_field(line, "message"));
         d.audit_violations.push_back(std::move(v));
       });
     }
@@ -357,11 +293,11 @@ std::optional<FlightDump> FlightDump::parse(std::istream& in) {
   if (pos_prov != npos) {
     d.provenance_present = true;
     d.provenance_decisions =
-        tok_u64(token_in(tv, "total_decisions", pos_prov, tv.size()));
+        parse_u64(raw_field(tv, "total_decisions", pos_prov, tv.size()));
     d.provenance_transitions =
-        tok_u64(token_in(tv, "total_transitions", pos_prov, tv.size()));
+        parse_u64(raw_field(tv, "total_transitions", pos_prov, tv.size()));
     d.provenance_pending =
-        tok_u64(token_in(tv, "pending", pos_prov, tv.size()));
+        parse_u64(raw_field(tv, "pending", pos_prov, tv.size()));
     std::istringstream stream(text.substr(pos_prov));
     d.provenance_tail = ProvenanceLedger::read_decisions_jsonl(stream);
   }

@@ -1,10 +1,10 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <string>
 #include <string_view>
+
+#include "obs/jsonl_scan.hpp"
 
 namespace vulcan::obs {
 
@@ -12,47 +12,6 @@ namespace {
 
 constexpr std::uint8_t kFlagSync = 1;
 constexpr std::uint8_t kFlagChunk = 2;
-
-/// Same lenient scanner as trace.cpp: find `"key":` and return the raw
-/// token up to the next ',' or '}'.
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  bool in_string = false;
-  while (end < line.size()) {
-    const char c = line[end];
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-    ++end;
-  }
-  return line.substr(start, end - start);
-}
-
-std::uint64_t parse_u64(std::string_view tok) {
-  std::uint64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-std::int64_t parse_i64(std::string_view tok) {
-  std::int64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-double parse_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
-
-std::string_view unquote(std::string_view tok) {
-  if (tok.size() >= 2 && tok.front() == '"' && tok.back() == '"') {
-    return tok.substr(1, tok.size() - 2);
-  }
-  return tok;
-}
 
 DecisionStatus status_by_name(std::string_view name) {
   for (int s = 0; s <= static_cast<int>(DecisionStatus::kVetoed); ++s) {
@@ -343,6 +302,7 @@ void ProvenanceLedger::write_decisions_tail_jsonl(std::ostream& out,
 
 std::vector<DecisionRow> ProvenanceLedger::read_decisions_jsonl(
     std::istream& in) {
+  using namespace jsonl;
   std::vector<DecisionRow> out;
   std::string line;
   while (std::getline(in, line)) {
@@ -378,6 +338,7 @@ std::vector<DecisionRow> ProvenanceLedger::read_decisions_jsonl(
 
 std::vector<TransitionRow> ProvenanceLedger::read_transitions_jsonl(
     std::istream& in) {
+  using namespace jsonl;
   std::vector<TransitionRow> out;
   std::string line;
   while (std::getline(in, line)) {

@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <array>
-#include <charconv>
-#include <cstdlib>
 #include <string>
 #include <string_view>
+
+#include "obs/jsonl_scan.hpp"
 
 namespace vulcan::obs {
 
@@ -58,40 +58,6 @@ const KindInfo* info_by_name(std::string_view name) {
   return nullptr;
 }
 
-/// Find `"key":` in `line` and return the raw token after it (up to the
-/// next ',' or '}'). Empty view when absent.
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  bool in_string = false;
-  while (end < line.size()) {
-    const char c = line[end];
-    if (c == '"') in_string = !in_string;
-    if (!in_string && (c == ',' || c == '}')) break;
-    ++end;
-  }
-  return line.substr(start, end - start);
-}
-
-std::uint64_t parse_u64(std::string_view tok) {
-  std::uint64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-std::int64_t parse_i64(std::string_view tok) {
-  std::int64_t v = 0;
-  std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return v;
-}
-
-double parse_double(std::string_view tok) {
-  return std::strtod(std::string(tok).c_str(), nullptr);
-}
-
 }  // namespace
 
 const char* event_kind_name(EventKind kind) { return info_of(kind).name; }
@@ -113,6 +79,7 @@ void TraceRing::write_jsonl(std::ostream& out) const {
 }
 
 std::vector<TraceEvent> TraceRing::read_jsonl(std::istream& in) {
+  using namespace jsonl;
   std::vector<TraceEvent> out;
   std::string line;
   while (std::getline(in, line)) {

@@ -120,48 +120,35 @@ void apply_perturbation(const Perturbation& p, runtime::SystemBuilder& b) {
   }
 }
 
-WhatIfScenario dilemma_scenario(std::uint64_t seed, double seconds,
-                                std::string policy) {
-  WhatIfScenario s;
+runtime::ScenarioSpec dilemma_scenario(std::uint64_t seed, double seconds) {
+  runtime::ScenarioSpec s;
   s.name = "dilemma";
-  s.policy = policy;
   s.seconds = seconds;
   s.seed = seed;
-  s.configure = [seed, policy](runtime::SystemBuilder& b) {
-    b.seed(seed)
-        .epoch_ms(250)
-        .samples_per_epoch(10'000)
-        .trace_capacity(1 << 18)
-        .policy(std::string_view(policy));
+  s.configure = [](runtime::SystemBuilder& b) {
+    b.epoch_ms(250).samples_per_epoch(10'000).trace_capacity(1 << 18);
   };
   s.stage = [seed]() { return runtime::dilemma_colocation(seed); };
   return s;
 }
 
-WhatIfEngine::WhatIfEngine(WhatIfScenario scenario)
-    : scenario_(std::move(scenario)) {
-  if (!scenario_.configure || !scenario_.stage) {
-    throw std::invalid_argument(
-        "whatif scenario needs configure and stage hooks");
+WhatIfEngine::WhatIfEngine(runtime::ScenarioSpec scenario, std::string policy)
+    : scenario_(std::move(scenario)), policy_(std::move(policy)) {
+  if (!scenario_.stage) {
+    throw std::invalid_argument("whatif scenario needs a stage hook");
   }
 }
 
 WhatIfRun WhatIfEngine::execute(const Perturbation* p) const {
-  runtime::SystemBuilder base;
-  scenario_.configure(base);
-  runtime::SystemBuilder b = base.clone_config();
-  if (p) apply_perturbation(*p, b);
-  runtime::BuildResult built = b.build();
-  if (!built) {
-    throw std::runtime_error("whatif scenario does not build: " +
-                             built.error());
-  }
-  runtime::TieredSystem& sys = *built.value();
-  runtime::run_staged(sys, scenario_.stage(), scenario_.seconds);
+  const std::unique_ptr<runtime::TieredSystem> sys = runtime::build_scenario(
+      scenario_, policy_, [p](runtime::SystemBuilder& b) {
+        if (p) apply_perturbation(*p, b);
+      });
+  runtime::run_staged(*sys, scenario_.stage(), scenario_.seconds);
 
   WhatIfRun r;
-  r.snapshot = snapshot_registry(sys.obs_registry());
-  r.events = sys.obs_trace().events();
+  r.snapshot = snapshot_registry(sys->obs_registry());
+  r.events = sys->obs_trace().events();
   r.jain = r.snapshot.gauge("app.fairness.jain_cumulative");
   for (const std::int32_t app : r.snapshot.app_ids()) {
     r.slowdown[app] = r.snapshot.gauge(app_key("slowdown_mean", app));
@@ -225,11 +212,10 @@ std::vector<WhatIfResult> WhatIfEngine::run_grid(
   // it, and executing it once inside the fan-out would race the cache.
   baseline();
 
-  // Fan the perturbed runs out across the workers. Each job clones the
-  // scenario's builder configuration and owns its whole system (registry,
-  // trace ring, RNG), so runs are independent; the reduction below walks
-  // the outcomes in grid order, which makes the output byte-identical for
-  // any job count.
+  // Fan the perturbed runs out across the workers. Each job builds the
+  // scenario afresh and owns its whole system (registry, trace ring, RNG),
+  // so runs are independent; the reduction below walks the outcomes in
+  // grid order, which makes the output byte-identical for any job count.
   exec::BatchRunner runner(jobs);
   std::vector<std::function<WhatIfRun()>> batch;
   batch.reserve(grid.size());
@@ -339,7 +325,7 @@ void WhatIfEngine::write_sensitivity_table(
     std::span<const WhatIfResult> results, std::ostream& out) {
   const WhatIfRun& base = baseline();
   out << "causal what-if sensitivity — scenario=" << scenario_.name
-      << " policy=" << scenario_.policy << " seed=" << scenario_.seed
+      << " policy=" << policy_ << " seed=" << scenario_.seed
       << " seconds=" << scenario_.seconds << "\n";
   out << std::fixed << std::setprecision(4);
   out << "baseline: jain=" << base.jain << "  slowdowns:";
@@ -407,7 +393,7 @@ void WhatIfEngine::write_bench_json(std::span<const WhatIfResult> results,
   std::ostringstream buf;
   buf << std::setprecision(12);
   buf << "{\n  \"scenario\": \"" << scenario_.name << "\",\n"
-      << "  \"policy\": \"" << scenario_.policy << "\",\n"
+      << "  \"policy\": \"" << policy_ << "\",\n"
       << "  \"seed\": " << scenario_.seed << ",\n"
       << "  \"seconds\": " << scenario_.seconds << ",\n"
       << "  \"grid_points\": " << results.size() << ",\n"

@@ -5,16 +5,17 @@
 // scenario with one mechanism cost scaled and every delta in the `app.*`
 // metrics is causally attributable to that knob. The engine owns that loop:
 //
-//   WhatIfScenario   what to run (configure a SystemBuilder + stage
-//                    deterministic workloads for N simulated seconds);
+//   ScenarioSpec     what to run (runtime/experiment.hpp: configure a
+//                    SystemBuilder + stage deterministic workloads for N
+//                    simulated seconds), under one named policy;
 //   Perturbation     one (knob, scale) point — scale 0.9 means "this
 //                    mechanism costs 10 % less";
-//   WhatIfEngine     runs the baseline once, each perturbation on a
-//                    builder clone, and reduces the pairs into per-app
-//                    sensitivity slopes (Δslowdown, ΔJain, Δmigration
-//                    stall per % of cost reduction), with the span-forest
-//                    diff naming the timeline subtree that absorbed the
-//                    change (obs/diff.hpp).
+//   WhatIfEngine     runs the baseline once, each perturbation as a
+//                    fresh build of the scenario, and reduces the pairs
+//                    into per-app sensitivity slopes (Δslowdown, ΔJain,
+//                    Δmigration stall per % of cost reduction), with the
+//                    span-forest diff naming the timeline subtree that
+//                    absorbed the change (obs/diff.hpp).
 //
 // Results publish into a Registry under `whatif.*{knob=K,app=N}` keys and
 // export as a deterministic sensitivity table + BENCH_whatif.json
@@ -27,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -77,29 +77,16 @@ struct Perturbation {
   double cost_reduction_pct() const { return (1.0 - scale) * 100.0; }
 };
 
-/// Scale the staged configuration of a builder clone. The perturbation
+/// Scale a builder's staged configuration. The perturbation
 /// reaches into Config::cost_params (mig/vm/prof constants), the machine
 /// model (mem latency and link bandwidth) and the epoch length.
 void apply_perturbation(const Perturbation& p, runtime::SystemBuilder& b);
 
-/// A deterministic, re-runnable experiment. `configure` must be pure
-/// (same builder state every call) and `stage` must rebuild the workloads
-/// from the scenario seed, so every execution replays the same run.
-struct WhatIfScenario {
-  std::string name = "dilemma";
-  std::string policy = "vulcan";
-  double seconds = 20.0;
-  std::uint64_t seed = 42;
-  std::function<void(runtime::SystemBuilder&)> configure;
-  std::function<std::vector<runtime::StagedWorkload>()> stage;
-};
-
 /// The built-in grid scenario: the paper's two-app cold-page dilemma
-/// (runtime::dilemma_colocation) under `policy`. The scanner joins at
-/// t=10 s, so the default horizon covers both the solo and the contended
-/// phase.
-WhatIfScenario dilemma_scenario(std::uint64_t seed, double seconds = 20.0,
-                                std::string policy = "vulcan");
+/// (runtime::dilemma_colocation). The scanner joins at t=10 s, so the
+/// default horizon covers both the solo and the contended phase.
+runtime::ScenarioSpec dilemma_scenario(std::uint64_t seed,
+                                       double seconds = 20.0);
 
 /// Everything extracted from one executed run.
 struct WhatIfRun {
@@ -135,7 +122,10 @@ struct WhatIfResult {
 
 class WhatIfEngine {
  public:
-  explicit WhatIfEngine(WhatIfScenario scenario);
+  /// `scenario` must be deterministic (configure pure, stage rebuilding
+  /// its workloads from the seed), so every execution replays the same run.
+  explicit WhatIfEngine(runtime::ScenarioSpec scenario,
+                        std::string policy = "vulcan");
 
   /// The unperturbed run (executed lazily, once).
   const WhatIfRun& baseline();
@@ -184,14 +174,15 @@ class WhatIfEngine {
   void write_bench_json(std::span<const WhatIfResult> results,
                         std::ostream& out);
 
-  const WhatIfScenario& scenario() const { return scenario_; }
+  const runtime::ScenarioSpec& scenario() const { return scenario_; }
 
  private:
   WhatIfRun execute(const Perturbation* p) const;
   WhatIfResult reduce_against_baseline(const Perturbation& p,
                                        const WhatIfRun& pert);
 
-  WhatIfScenario scenario_;
+  runtime::ScenarioSpec scenario_;
+  std::string policy_;
   std::optional<WhatIfRun> baseline_;
   exec::BatchStats grid_stats_;
 };

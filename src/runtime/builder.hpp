@@ -97,20 +97,8 @@ class SystemBuilder {
     config_.profiler = kind;
     return *this;
   }
-  SystemBuilder& thp(bool on) {
-    config_.thp = on;
-    return *this;
-  }
   SystemBuilder& seed(std::uint64_t seed) {
     config_.seed = seed;
-    return *this;
-  }
-  SystemBuilder& migration_budget(std::uint64_t pages_per_epoch) {
-    config_.migration_budget_override = pages_per_epoch;
-    return *this;
-  }
-  SystemBuilder& charge_daemon_to_app(bool on) {
-    config_.charge_daemon_to_app = on;
     return *this;
   }
   SystemBuilder& trace_capacity(std::size_t events) {
@@ -123,12 +111,6 @@ class SystemBuilder {
     config_.record_spans = on;
     return *this;
   }
-  /// Override the paper-fitted migration cost constants (what-if
-  /// perturbations, alternative calibrations).
-  SystemBuilder& cost_params(sim::CostModelParams params) {
-    config_.cost_params = params;
-    return *this;
-  }
   /// Invariant-audit level run at epoch boundaries (default kBasic; see
   /// Config::audit). kFull adds registry-counter drift checks.
   SystemBuilder& audit(check::AuditLevel level) {
@@ -139,11 +121,6 @@ class SystemBuilder {
   /// without changing the level used by TieredSystem::run_audit).
   SystemBuilder& audit_every(std::uint64_t n) {
     config_.audit_every = n;
-    return *this;
-  }
-  /// Whether a failed audit throws check::AuditFailure (default true).
-  SystemBuilder& audit_throw(bool on) {
-    config_.audit_throw = on;
     return *this;
   }
   /// Software page-walk cache in the vm::Mmu facade (default on).
@@ -177,11 +154,6 @@ class SystemBuilder {
     config_.flight_dump_path = std::move(path);
     return *this;
   }
-  /// Flight-recorder trace-tail horizon in epochs (default 64).
-  SystemBuilder& flight_epochs(std::size_t epochs) {
-    config_.flight_epochs = epochs;
-    return *this;
-  }
   /// Master telemetry switch (store + SLO + flight recorder). Off exists
   /// for the bench guard's overhead measurement.
   SystemBuilder& telemetry(bool on) {
@@ -196,13 +168,6 @@ class SystemBuilder {
     config_.provenance.enabled = on;
     return *this;
   }
-  /// Ledger ring capacities (retained decision / transition rows).
-  SystemBuilder& provenance_capacity(std::size_t decisions,
-                                     std::size_t transitions) {
-    config_.provenance.decision_capacity = decisions;
-    config_.provenance.transition_capacity = transitions;
-    return *this;
-  }
   /// Migration admission control (mig/admission.hpp): score every
   /// MigrationRequest's predicted benefit against its calibrated cost and
   /// veto the ones that don't clear the margin. Off by default
@@ -214,25 +179,12 @@ class SystemBuilder {
     return *this;
   }
 
-  /// Perturbation hook: direct access to the staged configuration, so the
-  /// what-if engine (obs/whatif.hpp) can scale individual cost constants on
-  /// a clone between configure and build().
+  /// Direct access to the staged configuration: the what-if engine
+  /// (obs/whatif.hpp) scales individual cost constants here between
+  /// configure and build(), and Config fields without a setter (thp,
+  /// cost_params, audit_throw, flight_epochs, ...) are set through it.
   TieredSystem::Config& config() { return config_; }
   const TieredSystem::Config& config() const { return config_; }
-
-  /// Clone the staged configuration and policy *selection* into a fresh
-  /// builder. Staged workloads and a concrete policy instance are
-  /// single-owner and do not transfer — re-stage workloads on the clone
-  /// (deterministic scenarios rebuild them from their seed anyway).
-  /// This is the per-job construction path of the exec batteries: every
-  /// parallel run clones the scenario's configuration and builds a system
-  /// of its own, so concurrent jobs share no mutable state.
-  SystemBuilder clone_config() const {
-    SystemBuilder b;
-    b.config_ = config_;
-    b.policy_name_ = policy_name_;
-    return b;
-  }
 
   /// Install a concrete policy instance...
   SystemBuilder& policy(std::unique_ptr<policy::SystemPolicy> policy) {
@@ -247,10 +199,6 @@ class SystemBuilder {
     policy_.reset();
     return *this;
   }
-
-  /// Name of the staged policy selection (empty when a concrete instance
-  /// was installed instead). Battery harnesses use it to label jobs.
-  const std::string& policy_name() const { return policy_name_; }
 
   /// Stage a workload; it is registered (in staging order) on the freshly
   /// built system, so indices are 0, 1, ... as with TieredSystem directly.

@@ -1,6 +1,9 @@
 #include "runtime/experiment.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -241,6 +244,129 @@ std::vector<MechanismSpeedupRow> mechanism_speedup_battery(
   return rows;
 }
 
+std::unique_ptr<TieredSystem> build_scenario(
+    const ScenarioSpec& spec, std::string_view policy,
+    const std::function<void(SystemBuilder&)>& extra) {
+  SystemBuilder b;
+  if (spec.configure) spec.configure(b);
+  if (spec.capture_provenance) b.provenance(true);
+  if (extra) extra(b);
+  b.seed(spec.seed).policy(policy);
+  BuildResult built = b.build();
+  if (!built) {
+    throw std::runtime_error(std::string(policy) + ": " + built.error());
+  }
+  return std::move(built.value());
+}
+
+std::vector<FleetWindowRow> fleet_windows(const obs::TimeSeriesStore& store) {
+  // Assemble per-window rows from the three gauges' aligned windows (all
+  // are observed at the same epoch boundaries).
+  std::map<std::uint64_t, FleetWindowRow> rows;
+  if (const obs::Series* s = store.find("app.fairness.worst_slowdown")) {
+    for (const obs::SeriesWindow& w : s->windows()) {
+      FleetWindowRow& row = rows[w.index];
+      row.window = w.index;
+      row.worst_slowdown = w.max;
+    }
+  }
+  if (const obs::Series* s = store.find("app.fairness.jain")) {
+    for (const obs::SeriesWindow& w : s->windows()) {
+      FleetWindowRow& row = rows[w.index];
+      row.window = w.index;
+      row.jain_min = w.min;
+    }
+  }
+  if (const obs::Series* s = store.find("runtime.live_workloads")) {
+    for (const obs::SeriesWindow& w : s->windows()) {
+      FleetWindowRow& row = rows[w.index];
+      row.window = w.index;
+      row.live_apps = w.last;
+    }
+  }
+  const double width_s = sim::CpuClock::to_seconds(store.config().window);
+  std::vector<FleetWindowRow> out;
+  out.reserve(rows.size());
+  for (auto& [index, row] : rows) {
+    row.time_s = static_cast<double>(index) * width_s;
+    out.push_back(row);
+  }
+  return out;
+}
+
+namespace {
+
+/// Build `spec` under `policy` (admission forced on for the ablation's
+/// second half), run it to the end and summarise it. Only the
+/// admission-off run captures the time-series and provenance exports.
+PolicyRunSummary run_once(const ScenarioSpec& spec, const std::string& policy,
+                          bool with_admission) {
+  const std::unique_ptr<TieredSystem> sys = build_scenario(
+      spec, policy, [&spec, with_admission](SystemBuilder& b) {
+        if (!with_admission) return;
+        mig::AdmissionSpec adm = *spec.admission_compare;
+        adm.enabled = true;  // compare mode means "on", always
+        b.admission(adm);
+      });
+  run_staged(*sys, spec.stage(), spec.seconds);
+
+  PolicyRunSummary summary;
+  summary.policy = policy;
+  summary.jain = sys->app_stats().jain_cumulative();
+  summary.cfi = sys->fairness_cfi();
+  const MetricsRecorder& m = sys->metrics();
+  const std::size_t from = m.epochs().size() / 2;
+  for (unsigned w = 0; w < sys->workload_count(); ++w) {
+    const double perf = m.mean_performance(w, from);
+    summary.apps.emplace_back(sys->workload(w).spec().name,
+                              perf > 0 ? 1.0 / perf : 1.0);
+    const mig::MigrationStats& t = sys->migrator(w).totals();
+    summary.pages_migrated += t.migrated;
+    summary.shootdown_ipis += t.shootdown_ipis;
+  }
+  summary.snapshot = obs::snapshot_registry(sys->obs_registry());
+
+  summary.windows = fleet_windows(sys->obs_timeseries());
+  std::vector<double> window_worst;
+  window_worst.reserve(summary.windows.size());
+  for (const FleetWindowRow& row : summary.windows) {
+    summary.worst_slowdown_overall =
+        std::max(summary.worst_slowdown_overall, row.worst_slowdown);
+    summary.jain_floor = std::min(summary.jain_floor, row.jain_min);
+    window_worst.push_back(row.worst_slowdown);
+  }
+  if (!window_worst.empty()) {
+    std::sort(window_worst.begin(), window_worst.end());
+    const std::size_t at = std::min(
+        window_worst.size() - 1,
+        static_cast<std::size_t>(
+            std::ceil(0.99 * static_cast<double>(window_worst.size())) - 1));
+    summary.worst_slowdown_p99 = window_worst[at];
+  }
+  if (const mig::AdmissionController* ctl = sys->admission_controller()) {
+    summary.admitted = ctl->admitted();
+    summary.vetoed = ctl->vetoed();
+  }
+
+  if (with_admission) return summary;
+  if (spec.capture_timeseries) {
+    std::ostringstream rows;
+    sys->obs_timeseries().write_jsonl(rows);
+    summary.timeseries = rows.str();
+  }
+  if (spec.capture_provenance) {
+    sys->provenance().finalize();
+    std::ostringstream d, t;
+    sys->provenance().write_decisions_jsonl(d);
+    sys->provenance().write_transitions_jsonl(t);
+    summary.decisions = d.str();
+    summary.transitions = t.str();
+  }
+  return summary;
+}
+
+}  // namespace
+
 std::vector<PolicyRunSummary> run_policy_battery(
     const ScenarioSpec& spec, std::span<const std::string> policies,
     unsigned jobs, exec::BatchStats* stats) {
@@ -252,87 +378,14 @@ std::vector<PolicyRunSummary> run_policy_battery(
   batch.reserve(policies.size());
   for (const std::string& policy : policies) {
     // `spec` outlives the (synchronous) batch; each job builds and owns a
-    // whole system, so concurrent policy runs never share state.
+    // whole system, so concurrent policy runs never share state. The
+    // admission-off run goes first: its artefacts are the summary's regular
+    // fields and stay byte-identical whether or not the rerun follows.
     batch.push_back([&spec, policy] {
-      const auto run_once =
-          [&spec, &policy](bool with_admission) {
-            SystemBuilder b;
-            if (spec.configure) spec.configure(b);
-            if (spec.capture_provenance) b.provenance(true);
-            if (with_admission) {
-              mig::AdmissionSpec adm = *spec.admission_compare;
-              adm.enabled = true;  // compare mode means "on", always
-              b.admission(adm);
-            }
-            b.seed(spec.seed).policy(std::string_view(policy));
-            BuildResult built = b.build();
-            if (!built) {
-              throw std::runtime_error(policy + ": " + built.error());
-            }
-            std::unique_ptr<TieredSystem> sys = std::move(built.value());
-            run_staged(*sys, spec.stage(), spec.seconds);
-            return sys;
-          };
-      const auto migration_cost = [](TieredSystem& s, std::uint64_t& pages,
-                                     std::uint64_t& ipis) {
-        pages = ipis = 0;
-        for (unsigned w = 0; w < s.workload_count(); ++w) {
-          const mig::MigrationStats& t = s.migrator(w).totals();
-          pages += t.migrated;
-          ipis += t.shootdown_ipis;
-        }
-      };
-
-      // The admission-off run first: its artefacts are the summary's
-      // regular fields and stay byte-identical whether or not the compare
-      // rerun happens afterwards.
-      std::unique_ptr<TieredSystem> sys_ptr = run_once(false);
-      TieredSystem& sys = *sys_ptr;
-
-      PolicyRunSummary summary;
-      summary.policy = policy;
-      summary.jain = sys.app_stats().jain_cumulative();
-      summary.cfi = sys.fairness_cfi();
-      const MetricsRecorder& m = sys.metrics();
-      const std::size_t from = m.epochs().size() / 2;
-      for (unsigned w = 0; w < sys.workload_count(); ++w) {
-        const double perf = m.mean_performance(w, from);
-        summary.apps.emplace_back(sys.workload(w).spec().name,
-                                  perf > 0 ? 1.0 / perf : 1.0);
-      }
-      summary.snapshot = obs::snapshot_registry(sys.obs_registry());
-      if (spec.capture_timeseries) {
-        std::ostringstream rows;
-        sys.obs_timeseries().write_jsonl(rows);
-        summary.timeseries = rows.str();
-      }
-      if (spec.capture_provenance) {
-        sys.provenance().finalize();
-        std::ostringstream d, t;
-        sys.provenance().write_decisions_jsonl(d);
-        sys.provenance().write_transitions_jsonl(t);
-        summary.decisions = d.str();
-        summary.transitions = t.str();
-      }
+      PolicyRunSummary summary = run_once(spec, policy, false);
       if (spec.admission_compare) {
-        AdmissionCompare cmp;
-        migration_cost(sys, cmp.base_pages_migrated,
-                       cmp.base_shootdown_ipis);
-        const std::unique_ptr<TieredSystem> on = run_once(true);
-        cmp.jain = on->app_stats().jain_cumulative();
-        cmp.cfi = on->fairness_cfi();
-        const MetricsRecorder& om = on->metrics();
-        const std::size_t ofrom = om.epochs().size() / 2;
-        for (unsigned w = 0; w < on->workload_count(); ++w) {
-          const double perf = om.mean_performance(w, ofrom);
-          cmp.apps.emplace_back(on->workload(w).spec().name,
-                                perf > 0 ? 1.0 / perf : 1.0);
-        }
-        migration_cost(*on, cmp.pages_migrated, cmp.shootdown_ipis);
-        const mig::AdmissionController* ctl = on->admission_controller();
-        cmp.admitted = ctl ? ctl->admitted() : 0;
-        cmp.vetoed = ctl ? ctl->vetoed() : 0;
-        summary.admission = std::move(cmp);
+        summary.admission = std::make_shared<const PolicyRunSummary>(
+            run_once(spec, policy, true));
       }
       return summary;
     });

@@ -62,8 +62,8 @@ void run_staged(TieredSystem& sys, std::vector<StagedWorkload> stages,
 // --------------------------------------------------------------- batteries
 //
 // A battery is a set of independent deterministic runs. Each row/job below
-// builds its own registry (and, for full-system runs, its own
-// SystemBuilder clone, trace ring and RNG), executes on an
+// builds its own registry (and, for full-system runs, its own system via
+// build_scenario: trace ring, RNG and all), executes on an
 // exec::BatchRunner, and merges in submission order — so battery output is
 // byte-identical for any `jobs` count, including 1. Pass `jobs` = 0 for
 // hardware concurrency (capped by the row count); pass `stats` to receive
@@ -119,10 +119,11 @@ std::vector<MechanismSpeedupRow> mechanism_speedup_battery(
     std::span<const std::uint64_t> pages_list, unsigned jobs = 1,
     exec::BatchStats* stats = nullptr);
 
-/// A re-runnable full-system scenario for the policy battery. `stage` must
-/// rebuild the staged workloads from the seed on every call (each job
-/// stages its own copies); `configure` (optional) applies extra builder
-/// configuration before the per-job seed and policy are set.
+/// A re-runnable full-system scenario: the one scenario type the policy
+/// battery, the what-if engine, the fuzzer and `vulcan_sim` all run.
+/// `stage` must rebuild the staged workloads from the seed on every call
+/// (each run stages its own copies); `configure` (optional) applies extra
+/// builder configuration before the per-run seed and policy are set.
 struct ScenarioSpec {
   std::string name = "dilemma";
   double seconds = 20.0;
@@ -140,33 +141,34 @@ struct ScenarioSpec {
   bool capture_provenance = false;
   /// Admission-control ablation: when set, each policy runs TWICE — first
   /// without admission (the summary's regular fields, byte-identical to a
-  /// compare-free battery), then again with this spec enabled — and the
-  /// with-admission deltas land in PolicyRunSummary::admission. Nothing
-  /// else about the battery changes: no forked battery, same scenario,
-  /// same per-policy seed.
+  /// compare-free battery), then again with this spec enabled, summarised
+  /// into PolicyRunSummary::admission. Nothing else about the battery
+  /// changes: same scenario, same per-policy seed.
   std::optional<mig::AdmissionSpec> admission_compare;
 };
 
-/// The with-admission half of an admission ablation (see
-/// ScenarioSpec::admission_compare). `base_*` mirrors the admission-off
-/// run so consumers can print cost deltas without re-deriving them.
-struct AdmissionCompare {
-  double jain = 1.0;
-  double cfi = 1.0;
-  /// (workload name, steady-state slowdown), same convention as
-  /// PolicyRunSummary::apps.
-  std::vector<std::pair<std::string, double>> apps;
-  /// Migration cost under admission: pages actually migrated and remote
-  /// cores interrupted (summed over workloads).
-  std::uint64_t pages_migrated = 0;
-  std::uint64_t shootdown_ipis = 0;
-  /// The same totals from the admission-off run.
-  std::uint64_t base_pages_migrated = 0;
-  std::uint64_t base_shootdown_ipis = 0;
-  /// Controller verdict totals (adm.admitted / adm.vetoed).
-  std::uint64_t admitted = 0;
-  std::uint64_t vetoed = 0;
+/// Build (but do not run) `spec` under `policy`: apply spec.configure,
+/// turn the provenance ledger on when spec.capture_provenance is set, apply
+/// `extra` (optional), then set spec.seed and the policy. The one place a
+/// ScenarioSpec becomes a system; throws std::runtime_error("<policy>:
+/// <build error>") when SystemBuilder::build() rejects the configuration.
+std::unique_ptr<TieredSystem> build_scenario(
+    const ScenarioSpec& spec, std::string_view policy,
+    const std::function<void(SystemBuilder&)>& extra = {});
+
+/// One tail-fairness reporting window of a run's time-series store.
+struct FleetWindowRow {
+  std::uint64_t window = 0;     ///< TimeSeriesStore window index
+  double time_s = 0.0;          ///< window start in simulated seconds
+  double worst_slowdown = 1.0;  ///< max worst-app slowdown in the window
+  double jain_min = 1.0;        ///< windowed floor of per-epoch Jain
+  double live_apps = 0.0;       ///< live workloads at the window's end
 };
+
+/// Assemble the per-window tail-fairness rows from a finished run's
+/// time-series store (the worst-slowdown / Jain / live-app gauges all
+/// observe at the same epoch boundaries, so their windows align).
+std::vector<FleetWindowRow> fleet_windows(const obs::TimeSeriesStore& store);
 
 /// One policy's end-to-end result over a ScenarioSpec.
 struct PolicyRunSummary {
@@ -177,6 +179,20 @@ struct PolicyRunSummary {
   /// averaged over the second half of the run like `vulcan_sim`.
   std::vector<std::pair<std::string, double>> apps;
   obs::MetricsSnapshot snapshot;  ///< the run's full registry
+  /// Tail fairness over the time-series windows the run retained (oldest
+  /// first): the max and p99 of the per-window worst-app slowdown and the
+  /// minimum windowed Jain.
+  std::vector<FleetWindowRow> windows;
+  double worst_slowdown_overall = 1.0;
+  double worst_slowdown_p99 = 1.0;
+  double jain_floor = 1.0;
+  /// Migration cost summed over every workload slot: pages migrated and
+  /// remote cores interrupted by shootdowns.
+  std::uint64_t pages_migrated = 0;
+  std::uint64_t shootdown_ipis = 0;
+  /// Admission-controller verdict totals (0 when no controller is wired).
+  std::uint64_t admitted = 0;
+  std::uint64_t vetoed = 0;
   /// The run's time-series export (JSONL rows) when the scenario set
   /// capture_timeseries; empty otherwise. Not part of the fuzz digest.
   std::string timeseries;
@@ -184,9 +200,9 @@ struct PolicyRunSummary {
   /// set capture_provenance; empty otherwise. Not part of the fuzz digest.
   std::string decisions;
   std::string transitions;
-  /// The with-admission rerun when the scenario set admission_compare;
-  /// nullopt otherwise. Never part of the fuzz digest.
-  std::optional<AdmissionCompare> admission;
+  /// The with-admission rerun when the scenario set admission_compare
+  /// (its own exports stay empty); null otherwise.
+  std::shared_ptr<const PolicyRunSummary> admission;
 };
 
 /// Run `spec` once per policy, fanning the runs out across `jobs` workers.

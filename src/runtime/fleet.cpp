@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <stdexcept>
 
 #include "sim/rng.hpp"
 
@@ -82,128 +80,16 @@ obs::TimeSeriesConfig fleet_timeseries_config(double seconds) {
   return ts;
 }
 
-std::vector<FleetWindowRow> fleet_windows(const obs::TimeSeriesStore& store) {
-  // Assemble per-window rows from the three gauges' aligned windows (all
-  // are observed at the same epoch boundaries).
-  std::map<std::uint64_t, FleetWindowRow> rows;
-  if (const obs::Series* s = store.find("app.fairness.worst_slowdown")) {
-    for (const obs::SeriesWindow& w : s->windows()) {
-      FleetWindowRow& row = rows[w.index];
-      row.window = w.index;
-      row.worst_slowdown = w.max;
-    }
-  }
-  if (const obs::Series* s = store.find("app.fairness.jain")) {
-    for (const obs::SeriesWindow& w : s->windows()) {
-      FleetWindowRow& row = rows[w.index];
-      row.window = w.index;
-      row.jain_min = w.min;
-    }
-  }
-  if (const obs::Series* s = store.find("runtime.live_workloads")) {
-    for (const obs::SeriesWindow& w : s->windows()) {
-      FleetWindowRow& row = rows[w.index];
-      row.window = w.index;
-      row.live_apps = w.last;
-    }
-  }
-  std::vector<FleetWindowRow> out;
-  out.reserve(rows.size());
-  for (auto& [index, row] : rows) {
-    row.time_s = static_cast<double>(index) * kFleetWindowSeconds;
-    out.push_back(row);
-  }
-  return out;
-}
-
-FleetPolicyResult summarize_fleet_run(TieredSystem& sys, std::string policy) {
-  FleetPolicyResult result;
-  result.policy = std::move(policy);
-  result.jain_cumulative = sys.app_stats().jain_cumulative();
-  result.windows = fleet_windows(sys.obs_timeseries());
-
-  std::vector<double> window_worst;
-  window_worst.reserve(result.windows.size());
-  for (const FleetWindowRow& row : result.windows) {
-    result.worst_slowdown_overall =
-        std::max(result.worst_slowdown_overall, row.worst_slowdown);
-    result.jain_floor = std::min(result.jain_floor, row.jain_min);
-    window_worst.push_back(row.worst_slowdown);
-  }
-  if (!window_worst.empty()) {
-    std::sort(window_worst.begin(), window_worst.end());
-    const std::size_t at = std::min(
-        window_worst.size() - 1,
-        static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(window_worst.size())) - 1));
-    result.worst_slowdown_p99 = window_worst[at];
-  }
-  result.snapshot = obs::snapshot_registry(sys.obs_registry());
-  return result;
-}
-
-std::vector<FleetPolicyResult> run_fleet_battery(
-    const FleetSpec& spec, std::span<const std::string> policies,
-    unsigned jobs, exec::BatchStats* stats) {
-  exec::BatchRunner runner(jobs);
-  std::vector<std::function<FleetPolicyResult()>> batch;
-  batch.reserve(policies.size());
-  for (const std::string& policy : policies) {
-    batch.push_back([&spec, policy] {
-      const auto run_once = [&spec, &policy](bool with_admission) {
-        SystemBuilder b;
-        b.timeseries(fleet_timeseries_config(spec.seconds));
-        if (with_admission) {
-          mig::AdmissionSpec adm = *spec.admission_compare;
-          adm.enabled = true;  // compare mode means "on", always
-          b.admission(adm);
-        }
-        b.seed(spec.seed).policy(std::string_view(policy));
-        BuildResult built = b.build();
-        if (!built) {
-          throw std::runtime_error(policy + ": " + built.error());
-        }
-        std::unique_ptr<TieredSystem> sys = std::move(built.value());
-        run_staged(*sys, make_fleet(spec), spec.seconds);
-        return sys;
-      };
-      const auto migration_cost = [](TieredSystem& s, std::uint64_t& pages,
-                                     std::uint64_t& ipis) {
-        pages = ipis = 0;
-        for (unsigned w = 0; w < s.workload_count(); ++w) {
-          const mig::MigrationStats& t = s.migrator(w).totals();
-          pages += t.migrated;
-          ipis += t.shootdown_ipis;
-        }
-      };
-
-      // Admission-off run first: its artefacts are the result's regular
-      // fields whether or not a compare rerun follows.
-      std::unique_ptr<TieredSystem> sys = run_once(false);
-      FleetPolicyResult result = summarize_fleet_run(*sys, policy);
-      if (spec.admission_compare) {
-        FleetAdmissionCompare cmp;
-        migration_cost(*sys, cmp.base_pages_migrated,
-                       cmp.base_shootdown_ipis);
-        const std::unique_ptr<TieredSystem> on = run_once(true);
-        const FleetPolicyResult with = summarize_fleet_run(*on, policy);
-        cmp.jain_cumulative = with.jain_cumulative;
-        cmp.worst_slowdown_overall = with.worst_slowdown_overall;
-        cmp.worst_slowdown_p99 = with.worst_slowdown_p99;
-        cmp.jain_floor = with.jain_floor;
-        migration_cost(*on, cmp.pages_migrated, cmp.shootdown_ipis);
-        const mig::AdmissionController* ctl = on->admission_controller();
-        cmp.admitted = ctl ? ctl->admitted() : 0;
-        cmp.vetoed = ctl ? ctl->vetoed() : 0;
-        result.admission = cmp;
-      }
-      return result;
-    });
-  }
-  auto results = exec::values_or_throw(runner.run(std::move(batch)),
-                                       "fleet battery");
-  if (stats) *stats = runner.stats();
-  return results;
+ScenarioSpec fleet_scenario(const FleetSpec& spec) {
+  ScenarioSpec scenario;
+  scenario.name = "fleet";
+  scenario.seconds = spec.seconds;
+  scenario.seed = spec.seed;
+  scenario.configure = [seconds = spec.seconds](SystemBuilder& b) {
+    b.timeseries(fleet_timeseries_config(seconds));
+  };
+  scenario.stage = [spec] { return make_fleet(spec); };
+  return scenario;
 }
 
 }  // namespace vulcan::runtime

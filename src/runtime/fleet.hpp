@@ -1,4 +1,4 @@
-// runtime::fleet — the fleet-scale co-location battery.
+// runtime::fleet — the fleet-scale co-location scenario.
 //
 // The paper evaluates a handful of co-located applications; this module
 // scales the same harness to O(100) apps with arrival/departure churn, the
@@ -14,21 +14,17 @@
 //    (seed, app_id), so changing the fleet size or removing one app never
 //    perturbs another app's schedule or access stream.
 //
-//  * run_fleet_battery(spec, policies, jobs) — one fleet run per policy,
-//    fanned out across an exec::BatchRunner exactly like
-//    run_policy_battery, but reporting fairness *over time*: per window
+//  * fleet_scenario(spec) — the same fleet as a runtime::ScenarioSpec, so
+//    run_policy_battery runs it once per policy like any other scenario.
+//    Every PolicyRunSummary carries fairness *over time*: per window
 //    (obs::TimeSeriesStore) the worst-app slowdown, the windowed Jain
-//    floor and the live-app count, plus run-level tail aggregates. Byte-
-//    identical results at any `jobs` count.
+//    floor and the live-app count, plus run-level tail aggregates; the
+//    fleet scenario widens those windows and retains all of them.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "mig/admission.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/experiment.hpp"
 #include "wl/fleet.hpp"
@@ -57,12 +53,6 @@ struct FleetSpec {
   double mean_lifetime_s = 0.0;
   /// Scales every app's RSS (capacity-pressure sweeps).
   double footprint_scale = 1.0;
-  /// Admission-control ablation (mirrors
-  /// ScenarioSpec::admission_compare): when set, every policy's fleet run
-  /// happens twice — admission-off first (the result's regular fields,
-  /// byte-identical to a compare-free battery), then with this spec
-  /// enabled, landing in FleetPolicyResult::admission.
-  std::optional<mig::AdmissionSpec> admission_compare;
 };
 
 /// Deterministic fleet scenario: `spec.apps` staged workloads in app-id
@@ -72,72 +62,17 @@ struct FleetSpec {
 /// from (spec.seed, app_id) via wl::fleet_app_seed.
 std::vector<StagedWorkload> make_fleet(const FleetSpec& spec);
 
-/// Tail-fairness window width used by the fleet battery (wider than the
+/// Tail-fairness window width used by the fleet scenario (wider than the
 /// 250 ms epoch so a window aggregates several epochs).
 inline constexpr double kFleetWindowSeconds = 2.0;
-
-/// One tail-fairness reporting window of one policy's fleet run.
-struct FleetWindowRow {
-  std::uint64_t window = 0;     ///< TimeSeriesStore window index
-  double time_s = 0.0;          ///< window start in simulated seconds
-  double worst_slowdown = 1.0;  ///< max worst-app slowdown in the window
-  double jain_min = 1.0;        ///< windowed floor of per-epoch Jain
-  double live_apps = 0.0;       ///< live workloads at the window's end
-};
-
-/// The with-admission half of a fleet admission ablation (see
-/// FleetSpec::admission_compare): the same tail aggregates plus the
-/// migration cost totals of both runs, so consumers print the cost delta
-/// next to the fairness columns.
-struct FleetAdmissionCompare {
-  double jain_cumulative = 1.0;
-  double worst_slowdown_overall = 1.0;
-  double worst_slowdown_p99 = 1.0;
-  double jain_floor = 1.0;
-  /// Migration cost with admission on: pages migrated + remote cores
-  /// IPI'd, summed over every workload slot.
-  std::uint64_t pages_migrated = 0;
-  std::uint64_t shootdown_ipis = 0;
-  /// The same totals from the admission-off run.
-  std::uint64_t base_pages_migrated = 0;
-  std::uint64_t base_shootdown_ipis = 0;
-  /// Controller verdict totals (adm.admitted / adm.vetoed).
-  std::uint64_t admitted = 0;
-  std::uint64_t vetoed = 0;
-};
-
-/// One policy's end-to-end fleet result.
-struct FleetPolicyResult {
-  std::string policy;
-  double jain_cumulative = 1.0;       ///< app.fairness.jain_cumulative
-  double worst_slowdown_overall = 1.0;  ///< max over windows
-  double worst_slowdown_p99 = 1.0;      ///< p99 over per-window maxima
-  double jain_floor = 1.0;              ///< min over windowed Jain floors
-  std::vector<FleetWindowRow> windows;  ///< oldest first
-  obs::MetricsSnapshot snapshot;        ///< the run's full registry
-  /// The with-admission rerun when the spec set admission_compare.
-  std::optional<FleetAdmissionCompare> admission;
-};
 
 /// The TimeSeriesStore configuration fleet runs install: windows of
 /// kFleetWindowSeconds, retained for the whole run (so the tail table
 /// covers every window, not just the most recent few).
 obs::TimeSeriesConfig fleet_timeseries_config(double seconds);
 
-/// Assemble the per-window tail-fairness rows from a finished run's
-/// time-series store (the worst-slowdown / Jain / live-app gauges all
-/// observe at the same epoch boundaries, so their windows align).
-std::vector<FleetWindowRow> fleet_windows(const obs::TimeSeriesStore& store);
-
-/// Summarise one finished fleet run: cumulative Jain, per-window rows,
-/// the run-level tail aggregates and the full registry snapshot.
-FleetPolicyResult summarize_fleet_run(TieredSystem& sys, std::string policy);
-
-/// Run the fleet scenario once per policy (deterministic; byte-identical
-/// for any `jobs`). A policy whose run throws — including an audit
-/// failure — fails the whole battery with a std::runtime_error naming it.
-std::vector<FleetPolicyResult> run_fleet_battery(
-    const FleetSpec& spec, std::span<const std::string> policies,
-    unsigned jobs = 1, exec::BatchStats* stats = nullptr);
+/// The fleet as a re-runnable scenario named "fleet": stages
+/// make_fleet(spec) and installs fleet_timeseries_config(spec.seconds).
+ScenarioSpec fleet_scenario(const FleetSpec& spec);
 
 }  // namespace vulcan::runtime

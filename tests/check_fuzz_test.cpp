@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <optional>
+
+#include "obs/flightrec.hpp"
 #include "runtime/experiment.hpp"
 
 namespace vulcan::check {
@@ -97,6 +101,25 @@ TEST(DifferentialFuzz, ZeroScenariosIsNotASuccess) {
   options.scenarios = 0;
   const FuzzResult result = run_differential_fuzz(options);
   EXPECT_FALSE(result.ok);
+}
+
+TEST(DifferentialFuzz, FailingScenarioLeavesAFlightDump) {
+  // The unknown roster entry fails the scenario. The forensic replay skips
+  // the entry that does not build and, with no audit throw to fire the
+  // auto dump, dumps the reference policy's box on demand.
+  FuzzOptions options = small_options();
+  options.jobs = {1};
+  options.policies = {"vulcan", "no-such-policy"};
+  options.vary_hotpath = false;
+  options.vary_admission = false;
+  options.flight_dir = ::testing::TempDir();
+  const FuzzResult result = run_differential_fuzz(options);
+  EXPECT_FALSE(result.ok);
+  ASSERT_EQ(result.flight_dumps.size(), 1u);
+  std::ifstream in(result.flight_dumps[0]);
+  const std::optional<obs::FlightDump> dump = obs::FlightDump::parse(in);
+  ASSERT_TRUE(dump.has_value()) << result.flight_dumps[0];
+  EXPECT_EQ(dump->reason, "fuzz_failure");
 }
 
 TEST(SerializeBattery, EmptyInputYieldsEmptyBytes) {

@@ -262,6 +262,12 @@ TEST(TimeSeriesLive, BatteryCaptureIsIdenticalAcrossJobs) {
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_FALSE(one[i].timeseries.empty());
     EXPECT_EQ(one[i].timeseries, two[i].timeseries) << one[i].policy;
+    // Every run also carries its tail-fairness windows, timed by the
+    // store's own window width (the default 250 ms here).
+    ASSERT_EQ(one[i].windows.size(), 6u) << one[i].policy;
+    EXPECT_EQ(one[i].windows.back().time_s,
+              static_cast<double>(one[i].windows.back().window) * 0.25);
+    EXPECT_EQ(one[i].worst_slowdown_p99, two[i].worst_slowdown_p99);
   }
 }
 

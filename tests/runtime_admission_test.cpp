@@ -164,9 +164,9 @@ TEST(AdmissionRuntime, BatteryAblationIsDeterministicAcrossJobs) {
   EXPECT_EQ(check::serialize_battery(one), check::serialize_battery(two));
 
   for (const PolicyRunSummary& s : one) {
-    ASSERT_TRUE(s.admission.has_value()) << s.policy;
+    ASSERT_NE(s.admission, nullptr) << s.policy;
     EXPECT_GT(s.admission->admitted + s.admission->vetoed, 0u);
-    EXPECT_GT(s.admission->base_pages_migrated, 0u);
+    EXPECT_GT(s.pages_migrated, 0u);
     EXPECT_EQ(s.admission->apps.size(), s.apps.size());
   }
 }
@@ -185,7 +185,7 @@ TEST(AdmissionRuntime, AblationLeavesBaselineColumnsUntouched) {
       policies, 1);
   const auto without = run_policy_battery(pressured_spec(), policies, 1);
 
-  ASSERT_TRUE(with[0].admission.has_value());
+  ASSERT_NE(with[0].admission, nullptr);
   // Strip the ablation column; everything left must be byte-identical.
   with[0].admission.reset();
   EXPECT_EQ(check::serialize_battery(with), check::serialize_battery(without));

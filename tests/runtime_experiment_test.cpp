@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "wl/apps.hpp"
 
 namespace vulcan::runtime {
@@ -74,6 +77,41 @@ TEST(MakePolicy, AllNamesResolveWithDistinctIdentities) {
 TEST(MakePolicy, OnlineCpusPropagate) {
   const auto policy = make_policy("vulcan", 16);
   EXPECT_EQ(policy->migrator_config().mechanism.online_cpus, 16u);
+}
+
+TEST(BuildScenario, LayersConfigureProvenanceExtraThenPolicy) {
+  ScenarioSpec spec;
+  spec.configure = [](SystemBuilder& b) {
+    // Both are overridden: the caller hook runs after configure, and the
+    // policy argument is set last.
+    b.policy("tpp").admission(mig::AdmissionSpec{});
+  };
+  spec.capture_provenance = true;
+  const auto sys = build_scenario(spec, "cascade", [](SystemBuilder& b) {
+    mig::AdmissionSpec adm;
+    adm.enabled = true;
+    b.admission(adm);
+  });
+  EXPECT_EQ(sys->policy().name(), "cascade");
+  EXPECT_TRUE(sys->provenance().enabled());
+  EXPECT_NE(sys->admission_controller(), nullptr);
+  EXPECT_EQ(sys->workload_count(), 0u);  // built, not staged
+}
+
+TEST(BuildScenario, BuildErrorsNameThePolicy) {
+  const auto error_of = [](const ScenarioSpec& spec, const char* policy) {
+    try {
+      build_scenario(spec, policy);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("built");
+  };
+  ScenarioSpec zero_samples;
+  zero_samples.configure = [](SystemBuilder& b) { b.samples_per_epoch(0); };
+  EXPECT_EQ(error_of(zero_samples, "vulcan").rfind("vulcan: ", 0), 0u)
+      << error_of(zero_samples, "vulcan");
+  EXPECT_EQ(error_of(ScenarioSpec{}, "foo"), "foo: unknown policy \"foo\"");
 }
 
 }  // namespace

@@ -204,22 +204,25 @@ TEST(FleetChurn, SeededResidencyLeakTripsTheDepartedAudit) {
 TEST(FleetBattery, ByteIdenticalAcrossJobCounts) {
   // cascade rides along deliberately: its global heat ranking indexes the
   // live-view span, the exact structure churn compacts.
-  const FleetSpec spec = small_churned_fleet();
+  const ScenarioSpec spec = fleet_scenario(small_churned_fleet());
   const std::vector<std::string> roster = {"vulcan", "cascade"};
-  const auto serial = run_fleet_battery(spec, roster, 1);
-  const auto parallel = run_fleet_battery(spec, roster, 2);
+  const auto serial = run_policy_battery(spec, roster, 1);
+  const auto parallel = run_policy_battery(spec, roster, 2);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const auto& a = serial[i];
     const auto& b = parallel[i];
     EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.jain_cumulative, b.jain_cumulative);
+    EXPECT_EQ(a.jain, b.jain);
     EXPECT_EQ(a.worst_slowdown_overall, b.worst_slowdown_overall);
     EXPECT_EQ(a.worst_slowdown_p99, b.worst_slowdown_p99);
     EXPECT_EQ(a.jain_floor, b.jain_floor);
+    EXPECT_EQ(a.pages_migrated, b.pages_migrated);
+    EXPECT_EQ(a.shootdown_ipis, b.shootdown_ipis);
     ASSERT_EQ(a.windows.size(), b.windows.size());
     for (std::size_t w = 0; w < a.windows.size(); ++w) {
       EXPECT_EQ(a.windows[w].window, b.windows[w].window);
+      EXPECT_EQ(a.windows[w].time_s, b.windows[w].time_s);
       EXPECT_EQ(a.windows[w].worst_slowdown, b.windows[w].worst_slowdown);
       EXPECT_EQ(a.windows[w].jain_min, b.windows[w].jain_min);
       EXPECT_EQ(a.windows[w].live_apps, b.windows[w].live_apps);
@@ -230,6 +233,52 @@ TEST(FleetBattery, ByteIdenticalAcrossJobCounts) {
     // move as churn admits and retires apps.
     EXPECT_GT(a.windows.size(), 1u);
   }
+}
+
+TEST(FleetBattery, HonoursTheScenarioConfiguration) {
+  // A fleet is an ordinary scenario: its configure hook and capture flags
+  // reach every run, on top of the fleet's own time-series windows.
+  ScenarioSpec spec = fleet_scenario(small_churned_fleet());
+  spec.configure = [fleet = spec.configure](SystemBuilder& b) {
+    fleet(b);
+    b.audit(check::AuditLevel::kOff);
+  };
+  spec.capture_timeseries = true;
+  spec.capture_provenance = true;
+  const std::vector<std::string> roster = {"vulcan", "tpp"};
+  const auto summaries = run_policy_battery(spec, roster, 2);
+  ASSERT_EQ(summaries.size(), roster.size());
+  for (const PolicyRunSummary& s : summaries) {
+    EXPECT_EQ(s.snapshot.counter("check.audits"), 0u) << s.policy;
+    EXPECT_FALSE(s.timeseries.empty()) << s.policy;
+    // The ledger is on: every first-touch allocation is a transition row
+    // (this small fleet migrates nothing, so no decision rows are due).
+    EXPECT_FALSE(s.transitions.empty()) << s.policy;
+    ASSERT_GT(s.windows.size(), 1u) << s.policy;
+    // Fleet windows are kFleetWindowSeconds wide.
+    EXPECT_EQ(s.windows[1].time_s,
+              static_cast<double>(s.windows[1].window) * kFleetWindowSeconds);
+  }
+}
+
+TEST(FleetBattery, AdmissionAblationSummarisesTheOnRun) {
+  ScenarioSpec spec = fleet_scenario(small_churned_fleet());
+  spec.admission_compare = mig::AdmissionSpec{};  // battery forces enabled
+  const std::vector<std::string> roster = {"vulcan"};
+  const auto with = run_policy_battery(spec, roster, 1);
+  ASSERT_EQ(with.size(), 1u);
+  ASSERT_NE(with[0].admission, nullptr);
+  const PolicyRunSummary& on = *with[0].admission;
+  EXPECT_EQ(on.policy, "vulcan");
+  EXPECT_EQ(on.windows.size(), with[0].windows.size());
+  EXPECT_EQ(on.admission, nullptr);
+  // This fleet migrates nothing, so verdict counts are not asserted; the
+  // admission-off half must match a compare-free battery exactly.
+  spec.admission_compare.reset();
+  const auto without = run_policy_battery(spec, roster, 1);
+  EXPECT_EQ(with[0].jain, without[0].jain);
+  EXPECT_EQ(with[0].worst_slowdown_p99, without[0].worst_slowdown_p99);
+  EXPECT_EQ(with[0].snapshot.counters, without[0].snapshot.counters);
 }
 
 }  // namespace

@@ -272,18 +272,18 @@ runtime::FleetSpec fleet_spec(const Options& o) {
   return spec;
 }
 
-std::vector<runtime::StagedWorkload> make_scenario(const Options& o) {
-  std::vector<runtime::StagedWorkload> stages;
-  if (o.scenario == "paper") {
-    return runtime::paper_colocation(o.seed);
-  }
-  if (o.scenario == "dilemma") {
-    return runtime::dilemma_colocation(o.seed);
-  }
+/// The scenario both modes run: the named scenario's stages plus the
+/// system flags. Bad scenario or flag values exit 2 here, before anything
+/// is built, so no worker thread ever resolves a flag.
+runtime::ScenarioSpec make_scenario(const Options& o) {
+  runtime::ScenarioSpec spec;
   if (o.scenario == "fleet") {
-    return runtime::make_fleet(fleet_spec(o));
-  }
-  if (o.scenario == "micro") {
+    spec = runtime::fleet_scenario(fleet_spec(o));
+  } else if (o.scenario == "paper") {
+    spec.stage = [seed = o.seed] { return runtime::paper_colocation(seed); };
+  } else if (o.scenario == "dilemma") {
+    spec.stage = [seed = o.seed] { return runtime::dilemma_colocation(seed); };
+  } else if (o.scenario == "micro") {
     wl::MicrobenchWorkload::Params p;
     p.rss_pages = o.rss;
     p.wss_pages = o.wss;
@@ -291,11 +291,52 @@ std::vector<runtime::StagedWorkload> make_scenario(const Options& o) {
     p.access_rate_per_thread = o.rate;
     p.drift_pages_per_sec = o.drift;
     p.seed = o.seed * 7 + 3;
-    stages.push_back({0.0, std::make_unique<wl::MicrobenchWorkload>(p)});
-    return stages;
+    spec.stage = [p] {
+      std::vector<runtime::StagedWorkload> stages;
+      stages.push_back({0.0, std::make_unique<wl::MicrobenchWorkload>(p)});
+      return stages;
+    };
+  } else {
+    std::fprintf(stderr, "unknown scenario: %s\n", o.scenario.c_str());
+    std::exit(2);
   }
-  std::fprintf(stderr, "unknown scenario: %s\n", o.scenario.c_str());
-  std::exit(2);
+  spec.name = o.scenario;
+  spec.seconds = o.seconds;
+  spec.seed = o.seed;
+  spec.configure = [scenario = std::move(spec.configure),
+                    epoch_ms = o.epoch_ms, samples = o.samples,
+                    profiler = profiler_kind(o.profiler),
+                    spans = !o.no_spans, audit = audit_level(o),
+                    slo = slo_rules(o)](runtime::SystemBuilder& b) {
+    if (scenario) scenario(b);
+    b.epoch_ms(epoch_ms)
+        .samples_per_epoch(samples)
+        .profiler(profiler)
+        .spans(spans)
+        .audit(audit)
+        .slo(slo);
+  };
+  spec.capture_timeseries = !o.timeseries_out.empty();
+  spec.capture_provenance = !o.provenance_out.empty();
+  // A battery ablates admission; a single run just enables it.
+  if (o.admission) spec.admission_compare = admission_spec(o);
+  return spec;
+}
+
+double veto_pct(std::uint64_t admitted, std::uint64_t vetoed) {
+  const std::uint64_t verdicts = admitted + vetoed;
+  return verdicts ? 100.0 * double(vetoed) / double(verdicts) : 0.0;
+}
+
+/// A fleet run's tail-fairness windows, one row each.
+void print_windows(FILE* out,
+                   const std::vector<runtime::FleetWindowRow>& windows) {
+  std::fprintf(out, "%8s %10s %10s %6s\n", "t(s)", "worst_sd", "jain_min",
+               "live");
+  for (const auto& w : windows) {
+    std::fprintf(out, "%8.0f %10.3f %10.3f %6.0f\n", w.time_s,
+                 w.worst_slowdown, w.jain_min, w.live_apps);
+  }
 }
 
 /// Open `path` ("-" = stdout) and run `fn` against it. Unwritable paths and
@@ -321,138 +362,155 @@ bool write_output(const std::string& path, Fn&& fn) {
   return true;
 }
 
-/// Fleet battery: the O(100)-app churn scenario once per policy, reported
-/// as *tail* fairness over time — per 2 s window the worst-app slowdown
-/// and the windowed Jain floor, plus run-level tail aggregates. Results
-/// merge in roster order, so the output is byte-identical for any --jobs.
-int run_fleet(const Options& o, const std::vector<std::string>& roster) {
-  if (!o.timeseries_out.empty() || !o.provenance_out.empty() ||
-      !o.telemetry_bench.empty()) {
-    std::fprintf(stderr,
-                 "--timeseries/--provenance/--telemetry-bench are not "
-                 "supported by the fleet battery; use a single --policy "
-                 "run for per-run artefacts\n");
-    return 2;
+/// Per-app battery report: end-of-run fairness and steady-state slowdowns,
+/// plus the off -> on admission ablation when requested.
+void print_apps_report(const runtime::ScenarioSpec& spec,
+                       const std::vector<runtime::PolicyRunSummary>& runs) {
+  std::printf("%-10s %8s %8s", "policy", "jain", "CFI");
+  for (const auto& [app, _] : runs.front().apps) {
+    std::printf(" %14s", (app + " sd").c_str());
   }
-  runtime::FleetSpec spec = fleet_spec(o);
-  if (o.admission) spec.admission_compare = admission_spec(o);
-  std::printf(
-      "scenario=fleet apps=%u churn=%.1f/min lc=%.2f be=%.2f seed=%llu "
-      "seconds=%.0f policies=%zu%s\n\n",
-      spec.apps, spec.churn_per_min, spec.lc_fraction, spec.be_fraction,
-      (unsigned long long)spec.seed, spec.seconds, roster.size(),
-      o.admission ? " admission=compare" : "");
-
-  std::vector<runtime::FleetPolicyResult> results;
-  exec::BatchStats stats;
-  try {
-    results = runtime::run_fleet_battery(spec, roster, o.jobs, &stats);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vulcan_sim: %s\n", e.what());
-    return std::string(e.what()).find("audit(level=") != std::string::npos
-               ? 3
-               : 1;
+  std::printf("\n");
+  for (const auto& s : runs) {
+    std::printf("%-10s %8.3f %8.3f", s.policy.c_str(), s.jain, s.cfi);
+    for (const auto& [_, slowdown] : s.apps) {
+      std::printf(" %14.3f", slowdown);
+    }
+    std::printf("\n");
   }
-  std::fprintf(stderr,
-               "[exec] %zu fleet runs on %u workers: %.0f ms wall "
-               "(%.0f ms serialized, %.2fx)\n",
-               stats.jobs, stats.workers, stats.wall_ms,
-               stats.job_wall_ms_sum, stats.speedup());
 
+  // Admission ablation: per-app slowdowns with the veto layer on, next to
+  // the migration cost it saved. The regular table above is the
+  // admission-off half and is byte-identical to an ablation-free battery.
+  if (!spec.admission_compare) return;
+  std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
+              spec.admission_compare->margin);
+  std::printf("%-10s %12s", "policy", "jain");
+  for (const auto& [app, _] : runs.front().apps) {
+    std::printf(" %16s", (app + " sd").c_str());
+  }
+  std::printf(" %15s %15s %8s\n", "pages", "ipis", "veto%");
+  for (const auto& s : runs) {
+    if (!s.admission) continue;
+    const auto& a = *s.admission;
+    std::printf("%-10s %5.3f>%5.3f", s.policy.c_str(), s.jain, a.jain);
+    for (std::size_t i = 0; i < s.apps.size(); ++i) {
+      const double on_sd =
+          i < a.apps.size() ? a.apps[i].second : s.apps[i].second;
+      std::printf(" %7.3f>%7.3f", s.apps[i].second, on_sd);
+    }
+    std::printf(" %7llu>%7llu %7llu>%7llu %7.1f%%\n",
+                (unsigned long long)s.pages_migrated,
+                (unsigned long long)a.pages_migrated,
+                (unsigned long long)s.shootdown_ipis,
+                (unsigned long long)a.shootdown_ipis,
+                veto_pct(a.admitted, a.vetoed));
+  }
+}
+
+/// Fleet report: *tail* fairness over time — run-level tail aggregates,
+/// the admission ablation when requested, then per 2 s window the
+/// worst-app slowdown and the windowed Jain floor.
+void print_fleet_report(const runtime::ScenarioSpec& spec,
+                        const std::vector<runtime::PolicyRunSummary>& runs) {
   // Run-level tail summary: who is worst off, and how bad does it get?
   std::printf("%-10s %10s %10s %10s %11s\n", "policy", "jain_cum",
               "worst_sd", "p99_sd", "jain_floor");
-  for (const auto& r : results) {
+  for (const auto& r : runs) {
     std::printf("%-10s %10.3f %10.3f %10.3f %11.3f\n", r.policy.c_str(),
-                r.jain_cumulative, r.worst_slowdown_overall,
-                r.worst_slowdown_p99, r.jain_floor);
+                r.jain, r.worst_slowdown_overall, r.worst_slowdown_p99,
+                r.jain_floor);
   }
 
   // Admission ablation: the same tail aggregates with the veto layer on,
   // next to the migration cost it saved (pages copied + shootdown IPIs).
-  if (o.admission) {
-    std::printf(
-        "\nadmission ablation (margin=%.2f; off -> on):\n",
-        spec.admission_compare->margin);
+  if (spec.admission_compare) {
+    std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
+                spec.admission_compare->margin);
     std::printf("%-10s %10s %10s %11s %13s %13s %9s\n", "policy",
                 "worst_sd", "p99_sd", "jain_floor", "pages", "ipis",
                 "veto%");
-    for (const auto& r : results) {
+    for (const auto& r : runs) {
       if (!r.admission) continue;
       const auto& a = *r.admission;
-      const std::uint64_t verdicts = a.admitted + a.vetoed;
       std::printf(
           "%-10s %4.2f>%4.2f %4.2f>%4.2f %5.3f>%5.3f %6llu>%6llu "
           "%6llu>%6llu %8.1f%%\n",
           r.policy.c_str(), r.worst_slowdown_overall,
           a.worst_slowdown_overall, r.worst_slowdown_p99,
           a.worst_slowdown_p99, r.jain_floor, a.jain_floor,
-          (unsigned long long)a.base_pages_migrated,
+          (unsigned long long)r.pages_migrated,
           (unsigned long long)a.pages_migrated,
-          (unsigned long long)a.base_shootdown_ipis,
+          (unsigned long long)r.shootdown_ipis,
           (unsigned long long)a.shootdown_ipis,
-          verdicts ? 100.0 * double(a.vetoed) / double(verdicts) : 0.0);
+          veto_pct(a.admitted, a.vetoed));
     }
   }
 
   // Per-window detail: the fairness *trajectory* each policy produced.
-  for (const auto& r : results) {
+  for (const auto& r : runs) {
     std::printf("\n%s (%.0f s windows):\n", r.policy.c_str(),
                 runtime::kFleetWindowSeconds);
-    std::printf("%8s %10s %10s %6s\n", "t(s)", "worst_sd", "jain_min",
-                "live");
-    for (const auto& w : r.windows) {
-      std::printf("%8.0f %10.3f %10.3f %6.0f\n", w.time_s, w.worst_slowdown,
-                  w.jain_min, w.live_apps);
-    }
+    print_windows(stdout, r.windows);
   }
+}
 
-  // Fleet bench summary: deterministic tail aggregates only, so two runs
-  // of the same binary are byte-identical at any --jobs count.
-  // bench/baselines/BENCH_fleet.json pins this shape.
-  if (!o.bench_json.empty()) {
-    const bool ok = write_output(o.bench_json, [&](std::ostream& out) {
-      out << "{\"scenario\": \"fleet\", \"seed\": " << o.seed
-          << ", \"simulated_s\": " << o.seconds << ", \"apps\": " << o.apps
-          << ", \"churn_per_min\": " << o.churn << ", \"policies\": [";
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i];
-        out << (i ? ", " : "") << "{\"name\": \"" << r.policy
-            << "\", \"jain_cumulative\": " << r.jain_cumulative
-            << ", \"worst_slowdown_overall\": " << r.worst_slowdown_overall
-            << ", \"worst_slowdown_p99\": " << r.worst_slowdown_p99
-            << ", \"jain_floor\": " << r.jain_floor
-            << ", \"windows\": " << r.windows.size();
-        // The with-admission rerun rides along as a nested object, so the
-        // admission-off fields above stay byte-identical to a compare-free
-        // baseline run.
-        if (r.admission) {
-          const auto& a = *r.admission;
-          out << ", \"admission\": {\"jain_cumulative\": "
-              << a.jain_cumulative << ", \"worst_slowdown_overall\": "
-              << a.worst_slowdown_overall << ", \"worst_slowdown_p99\": "
-              << a.worst_slowdown_p99 << ", \"jain_floor\": " << a.jain_floor
-              << ", \"pages_migrated\": " << a.pages_migrated
-              << ", \"shootdown_ipis\": " << a.shootdown_ipis
-              << ", \"base_pages_migrated\": " << a.base_pages_migrated
-              << ", \"base_shootdown_ipis\": " << a.base_shootdown_ipis
-              << ", \"admitted\": " << a.admitted
-              << ", \"vetoed\": " << a.vetoed << "}";
-        }
-        out << "}";
-      }
-      out << "]}\n";
-    });
-    std::fprintf(stderr, "wrote %s (fleet benchmark summary)\n",
-                 o.bench_json.c_str());
-    if (!ok) return 1;
+/// Battery bench summary: deterministic fields only (no wall time), so two
+/// runs of the same binary are byte-identical at any --jobs count. A fleet
+/// reports its tail aggregates (the shape bench/baselines/BENCH_fleet.json
+/// pins), every other scenario its per-app slowdowns (BENCH_hotpath.json).
+/// The with-admission rerun rides along as a nested object, keeping the
+/// admission-off fields identical to a compare-free battery.
+void write_battery_json(std::ostream& out, const Options& o, bool fleet,
+                        const std::vector<runtime::PolicyRunSummary>& runs) {
+  const auto fairness = [&out, fleet](const runtime::PolicyRunSummary& s) {
+    if (fleet) {
+      out << "\"jain_cumulative\": " << s.jain
+          << ", \"worst_slowdown_overall\": " << s.worst_slowdown_overall
+          << ", \"worst_slowdown_p99\": " << s.worst_slowdown_p99
+          << ", \"jain_floor\": " << s.jain_floor;
+      return;
+    }
+    out << "\"jain\": " << s.jain << ", \"cfi\": " << s.cfi
+        << ", \"apps\": [";
+    for (std::size_t a = 0; a < s.apps.size(); ++a) {
+      out << (a ? ", " : "") << "{\"name\": \"" << s.apps[a].first
+          << "\", \"slowdown\": " << s.apps[a].second << "}";
+    }
+    out << "]";
+  };
+  out << "{\"scenario\": \"" << o.scenario << "\", \"seed\": " << o.seed
+      << ", \"simulated_s\": " << o.seconds;
+  if (fleet) {
+    out << ", \"apps\": " << o.apps << ", \"churn_per_min\": " << o.churn;
   }
-  return 0;
+  out << ", \"policies\": [";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& s = runs[i];
+    out << (i ? ", " : "") << "{\"name\": \"" << s.policy << "\", ";
+    fairness(s);
+    if (fleet) out << ", \"windows\": " << s.windows.size();
+    if (s.admission) {
+      const auto& a = *s.admission;
+      out << ", \"admission\": {";
+      fairness(a);
+      out << ", \"pages_migrated\": " << a.pages_migrated
+          << ", \"shootdown_ipis\": " << a.shootdown_ipis
+          << ", \"base_pages_migrated\": " << s.pages_migrated
+          << ", \"base_shootdown_ipis\": " << s.shootdown_ipis
+          << ", \"admitted\": " << a.admitted
+          << ", \"vetoed\": " << a.vetoed << "}";
+    }
+    out << "}";
+  }
+  out << "]}\n";
 }
 
 /// Battery mode: one full simulation per policy in the roster, fanned out
-/// across the exec worker pool. The comparison table merges in roster
-/// order, so it is byte-identical for any --jobs value.
+/// across the exec worker pool. Results merge in roster order, so stdout
+/// and every export are byte-identical for any --jobs value. Only the
+/// report depends on the scenario: a fleet prints tail fairness over time,
+/// every other scenario per-app slowdowns.
 int run_battery(const Options& o) {
   if (!o.csv.empty() || !o.trace_out.empty() || !o.metrics_out.empty() ||
       !o.perfetto_out.empty() || !o.folded_out.empty() ||
@@ -463,11 +521,6 @@ int run_battery(const Options& o) {
                  "(--csv/--trace/--metrics/--perfetto/--folded/"
                  "--record-trace/--replay-trace/--flight-dump) need a "
                  "single --policy run\n");
-    return 2;
-  }
-  if (o.scenario != "paper" && o.scenario != "dilemma" &&
-      o.scenario != "micro" && o.scenario != "fleet") {
-    std::fprintf(stderr, "unknown scenario: %s\n", o.scenario.c_str());
     return 2;
   }
 
@@ -487,34 +540,31 @@ int run_battery(const Options& o) {
     return 2;
   }
 
-  // The fleet battery reports tail fairness over time rather than the
-  // end-of-run means below; it has its own table and bench shape.
-  if (o.scenario == "fleet") return run_fleet(o, roster);
+  const runtime::ScenarioSpec spec = make_scenario(o);
+  // Build every roster entry once, unrun, so a bad policy name or
+  // configuration exits 2 like a single run does — before any run starts.
+  for (const std::string& policy : roster) {
+    try {
+      runtime::build_scenario(spec, policy);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "invalid configuration: %s\n", e.what());
+      return 2;
+    }
+  }
 
-  const auto configure_base = [&o](runtime::SystemBuilder& b) {
-    b.epoch_ms(o.epoch_ms)
-        .samples_per_epoch(o.samples)
-        .profiler(profiler_kind(o.profiler))
-        .spans(!o.no_spans)
-        .audit(audit_level(o));
-  };
-
-  runtime::ScenarioSpec spec;
-  spec.name = o.scenario;
-  spec.seconds = o.seconds;
-  spec.seed = o.seed;
-  spec.configure = [&o, &configure_base](runtime::SystemBuilder& b) {
-    configure_base(b);
-    b.slo(slo_rules(o));
-  };
-  spec.stage = [&o] { return make_scenario(o); };
-  spec.capture_timeseries = !o.timeseries_out.empty();
-  spec.capture_provenance = !o.provenance_out.empty();
-  if (o.admission) spec.admission_compare = admission_spec(o);
-
-  std::printf("scenario=%s seed=%llu seconds=%.0f policies=%zu%s\n\n",
-              o.scenario.c_str(), (unsigned long long)o.seed, o.seconds,
-              roster.size(), o.admission ? " admission=compare" : "");
+  const bool fleet = o.scenario == "fleet";
+  const char* ablation = o.admission ? " admission=compare" : "";
+  if (fleet) {
+    std::printf(
+        "scenario=fleet apps=%u churn=%.1f/min lc=%.2f be=%.2f seed=%llu "
+        "seconds=%.0f policies=%zu%s\n\n",
+        o.apps, o.churn, o.lc_frac, o.be_frac, (unsigned long long)o.seed,
+        o.seconds, roster.size(), ablation);
+  } else {
+    std::printf("scenario=%s seed=%llu seconds=%.0f policies=%zu%s\n\n",
+                o.scenario.c_str(), (unsigned long long)o.seed, o.seconds,
+                roster.size(), ablation);
+  }
 
   std::vector<runtime::PolicyRunSummary> summaries;
   exec::BatchStats stats;
@@ -534,48 +584,10 @@ int run_battery(const Options& o) {
                stats.jobs, stats.workers, stats.wall_ms,
                stats.job_wall_ms_sum, stats.speedup());
 
-  std::printf("%-10s %8s %8s", "policy", "jain", "CFI");
-  for (const auto& [app, _] : summaries.front().apps) {
-    std::printf(" %14s", (app + " sd").c_str());
-  }
-  std::printf("\n");
-  for (const auto& s : summaries) {
-    std::printf("%-10s %8.3f %8.3f", s.policy.c_str(), s.jain, s.cfi);
-    for (const auto& [_, slowdown] : s.apps) {
-      std::printf(" %14.3f", slowdown);
-    }
-    std::printf("\n");
-  }
-
-  // Admission ablation: per-app slowdowns with the veto layer on, next to
-  // the migration cost it saved. The regular table above is the
-  // admission-off half and is byte-identical to an ablation-free battery.
-  if (o.admission) {
-    std::printf("\nadmission ablation (margin=%.2f; off -> on):\n",
-                spec.admission_compare->margin);
-    std::printf("%-10s %12s", "policy", "jain");
-    for (const auto& [app, _] : summaries.front().apps) {
-      std::printf(" %16s", (app + " sd").c_str());
-    }
-    std::printf(" %15s %15s %8s\n", "pages", "ipis", "veto%");
-    for (const auto& s : summaries) {
-      if (!s.admission) continue;
-      const auto& a = *s.admission;
-      std::printf("%-10s %5.3f>%5.3f", s.policy.c_str(), s.jain, a.jain);
-      for (std::size_t i = 0; i < s.apps.size(); ++i) {
-        const double on_sd =
-            i < a.apps.size() ? a.apps[i].second : s.apps[i].second;
-        std::printf(" %7.3f>%7.3f", s.apps[i].second, on_sd);
-      }
-      const std::uint64_t verdicts = a.admitted + a.vetoed;
-      std::printf(" %7llu>%7llu %7llu>%7llu %7.1f%%\n",
-                  (unsigned long long)a.base_pages_migrated,
-                  (unsigned long long)a.pages_migrated,
-                  (unsigned long long)a.base_shootdown_ipis,
-                  (unsigned long long)a.shootdown_ipis,
-                  verdicts ? 100.0 * double(a.vetoed) / double(verdicts)
-                           : 0.0);
-    }
+  if (fleet) {
+    print_fleet_report(spec, summaries);
+  } else {
+    print_apps_report(spec, summaries);
   }
 
   // Per-policy time-series exports, merged in roster order like the table
@@ -619,15 +631,13 @@ int run_battery(const Options& o) {
     runtime::ScenarioSpec off = spec;
     off.capture_timeseries = false;
     off.admission_compare.reset();  // overhead runs, not the ablation
-    off.configure = [&configure_base](runtime::SystemBuilder& b) {
-      configure_base(b);
+    runtime::ScenarioSpec on = off;
+    off.configure = [&spec](runtime::SystemBuilder& b) {
+      spec.configure(b);
       b.telemetry(false);
     };
-    runtime::ScenarioSpec on = spec;
-    on.capture_timeseries = false;
-    on.admission_compare.reset();
-    on.configure = [&configure_base](runtime::SystemBuilder& b) {
-      configure_base(b);
+    on.configure = [&spec](runtime::SystemBuilder& b) {
+      spec.configure(b);
       b.slo(obs::default_slo_pack());
     };
     exec::BatchStats off_stats, on_stats;
@@ -663,43 +673,9 @@ int run_battery(const Options& o) {
     if (!ok || !identical) return 1;
   }
 
-  // Battery bench summary: deterministic fields only (no wall time), so
-  // two runs of the same binary produce byte-identical JSON at any
-  // --jobs count. bench/baselines/BENCH_hotpath.json pins this shape.
   if (!o.bench_json.empty()) {
     const bool ok = write_output(o.bench_json, [&](std::ostream& out) {
-      out << "{\"scenario\": \"" << o.scenario << "\", \"seed\": " << o.seed
-          << ", \"simulated_s\": " << o.seconds << ", \"policies\": [";
-      for (std::size_t i = 0; i < summaries.size(); ++i) {
-        const auto& s = summaries[i];
-        out << (i ? ", " : "") << "{\"name\": \"" << s.policy
-            << "\", \"jain\": " << s.jain << ", \"cfi\": " << s.cfi
-            << ", \"apps\": [";
-        for (std::size_t a = 0; a < s.apps.size(); ++a) {
-          out << (a ? ", " : "") << "{\"name\": \"" << s.apps[a].first
-              << "\", \"slowdown\": " << s.apps[a].second << "}";
-        }
-        out << "]";
-        // With-admission rerun as a nested object (ablation mode only),
-        // keeping the admission-off fields identical to a plain battery.
-        if (s.admission) {
-          const auto& adm = *s.admission;
-          out << ", \"admission\": {\"jain\": " << adm.jain
-              << ", \"cfi\": " << adm.cfi << ", \"apps\": [";
-          for (std::size_t a = 0; a < adm.apps.size(); ++a) {
-            out << (a ? ", " : "") << "{\"name\": \"" << adm.apps[a].first
-                << "\", \"slowdown\": " << adm.apps[a].second << "}";
-          }
-          out << "], \"pages_migrated\": " << adm.pages_migrated
-              << ", \"shootdown_ipis\": " << adm.shootdown_ipis
-              << ", \"base_pages_migrated\": " << adm.base_pages_migrated
-              << ", \"base_shootdown_ipis\": " << adm.base_shootdown_ipis
-              << ", \"admitted\": " << adm.admitted
-              << ", \"vetoed\": " << adm.vetoed << "}";
-        }
-        out << "}";
-      }
-      out << "]}\n";
+      write_battery_json(out, o, fleet, summaries);
     });
     std::fprintf(stderr, "wrote %s (battery benchmark summary)\n",
                  o.bench_json.c_str());
@@ -724,33 +700,23 @@ int main(int argc, char** argv) {
   const bool stdout_taken = o.trace_out == "-" || o.metrics_out == "-" ||
                             o.perfetto_out == "-" || o.folded_out == "-" ||
                             o.csv == "-" || o.bench_json == "-" ||
-                            o.timeseries_out == "-";
+                            o.timeseries_out == "-" ||
+                            o.record_trace == "-";
   FILE* info = stdout_taken ? stderr : stdout;
 
-  runtime::SystemBuilder builder;
-  builder.seed(o.seed)
-      .epoch_ms(o.epoch_ms)
-      .samples_per_epoch(o.samples)
-      .profiler(profiler_kind(o.profiler))
-      .spans(!o.no_spans)
-      .audit(audit_level(o))
-      .slo(slo_rules(o))
-      .provenance(!o.provenance_out.empty())
-      .flight_dump(o.flight_dump)
-      .policy(std::string_view(o.policy));
-  if (o.admission) builder.admission(admission_spec(o));
-  if (o.scenario == "fleet") {
-    // Fleet runs fold epochs into 2 s tail-fairness windows retained for
-    // the whole run, so the table below covers every window.
-    builder.timeseries(runtime::fleet_timeseries_config(o.seconds));
-  }
-  auto built = builder.build();
-  if (!built) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 built.error().c_str());
+  const runtime::ScenarioSpec spec = make_scenario(o);
+  std::unique_ptr<runtime::TieredSystem> built;
+  try {
+    built = runtime::build_scenario(
+        spec, o.policy, [&o](runtime::SystemBuilder& b) {
+          b.flight_dump(o.flight_dump);
+          if (o.admission) b.admission(admission_spec(o));
+        });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "invalid configuration: %s\n", e.what());
     return 2;
   }
-  runtime::TieredSystem& sys = *built.value();
+  runtime::TieredSystem& sys = *built;
   std::fprintf(info,
                "policy=%s scenario=%s seed=%llu epoch=%.0fms "
                "budget=%llu pages/epoch\n\n",
@@ -758,7 +724,7 @@ int main(int argc, char** argv) {
                (unsigned long long)o.seed, o.epoch_ms,
                (unsigned long long)sys.migration_budget_pages());
 
-  auto stages = make_scenario(o);
+  auto stages = spec.stage();
   wl::Trace trace;
   if (!o.replay_trace.empty()) {
     std::ifstream in(o.replay_trace, std::ios::binary);
@@ -766,12 +732,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", o.replay_trace.c_str());
       return 1;
     }
-    wl::WorkloadSpec spec;
-    spec.name = "trace:" + o.replay_trace;
-    spec.accesses_per_sec_per_thread = o.rate;
+    wl::WorkloadSpec replay;
+    replay.name = "trace:" + o.replay_trace;
+    replay.accesses_per_sec_per_thread = o.rate;
     stages.clear();
     stages.push_back({0.0, std::make_unique<wl::ReplayWorkload>(
-                               wl::Trace::load(in), spec)});
+                               wl::Trace::load(in), replay)});
   } else if (!o.record_trace.empty() && !stages.empty()) {
     auto inner = std::move(stages[0].workload);
     trace = wl::Trace(inner->spec().rss_pages, inner->spec().threads);
@@ -796,12 +762,16 @@ int main(int argc, char** argv) {
                                     wall_start)
           .count();
 
+  bool ok = true;
   if (!o.record_trace.empty()) {
-    std::ofstream out(o.record_trace, std::ios::binary);
-    const auto bytes = trace.save(out);
-    std::fprintf(info, "recorded %zu accesses (%llu bytes) to %s\n\n",
-                 trace.size(), (unsigned long long)bytes,
-                 o.record_trace.c_str());
+    std::uint64_t bytes = 0;
+    ok = write_output(o.record_trace,
+                      [&](std::ostream& out) { bytes = trace.save(out); });
+    if (ok) {
+      std::fprintf(info, "recorded %zu accesses (%llu bytes) to %s\n\n",
+                   trace.size(), (unsigned long long)bytes,
+                   o.record_trace.c_str());
+    }
   }
 
   const auto& m = sys.metrics();
@@ -832,27 +802,18 @@ int main(int argc, char** argv) {
                (unsigned long long)sys.shootdowns().stats().shootdowns,
                (unsigned long long)sys.shootdowns().stats().ipis);
   if (const mig::AdmissionController* adm = sys.admission_controller()) {
-    const std::uint64_t verdicts = adm->admitted() + adm->vetoed();
     std::fprintf(info,
                  "admission: %llu admitted, %llu vetoed (%.1f%% veto rate)\n",
                  (unsigned long long)adm->admitted(),
                  (unsigned long long)adm->vetoed(),
-                 verdicts ? 100.0 * double(adm->vetoed()) / double(verdicts)
-                          : 0.0);
+                 veto_pct(adm->admitted(), adm->vetoed()));
   }
   if (o.scenario == "fleet") {
-    const auto rows = runtime::fleet_windows(sys.obs_timeseries());
     std::fprintf(info, "\nfleet tail fairness (%.0f s windows):\n",
                  runtime::kFleetWindowSeconds);
-    std::fprintf(info, "%8s %10s %10s %6s\n", "t(s)", "worst_sd",
-                 "jain_min", "live");
-    for (const auto& w : rows) {
-      std::fprintf(info, "%8.0f %10.3f %10.3f %6.0f\n", w.time_s,
-                   w.worst_slowdown, w.jain_min, w.live_apps);
-    }
+    print_windows(info, runtime::fleet_windows(sys.obs_timeseries()));
   }
 
-  bool ok = true;
   const std::uint64_t dropped = sys.obs_trace().dropped();
   if (!o.csv.empty()) {
     ok &= write_output(o.csv, [&](std::ostream& out) {

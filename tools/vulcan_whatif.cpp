@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    obs::WhatIfEngine engine(obs::dilemma_scenario(seed, seconds, policy));
+    obs::WhatIfEngine engine(obs::dilemma_scenario(seed, seconds), policy);
     const std::vector<obs::WhatIfResult> results =
         engine.run_grid(grid, jobs);
     const exec::BatchStats& stats = engine.grid_stats();
