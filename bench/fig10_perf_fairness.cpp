@@ -46,12 +46,7 @@ TrialResult run_trial(const char* policy, std::uint64_t seed, double end_s) {
   core::CfiAccumulator cfi(3);
   for (const auto& e : sys.metrics().epochs()) {
     if (e.workloads.size() < 3) continue;
-    double alloc[3], fthr[3];
-    for (int w = 0; w < 3; ++w) {
-      alloc[w] = static_cast<double>(e.workloads[w].fast_pages);
-      fthr[w] = e.workloads[w].fthr;
-    }
-    cfi.record_epoch(alloc, fthr);
+    cfi.record_epoch(std::span(e.workloads).first(3));
   }
   r.cfi = cfi.cfi();
   return r;

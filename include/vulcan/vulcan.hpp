@@ -66,11 +66,9 @@
 #include "obs/whatif.hpp"
 #include "policy/biased.hpp"
 #include "policy/cascade.hpp"
-#include "policy/memtis.hpp"
-#include "policy/mtm.hpp"
-#include "policy/nomad.hpp"
 #include "policy/policy.hpp"
-#include "policy/tpp.hpp"
+#include "policy/threshold.hpp"
+#include "policy/watermark.hpp"
 #include "prof/chrono.hpp"
 #include "prof/hint_fault.hpp"
 #include "prof/hybrid.hpp"

@@ -168,14 +168,14 @@ CbfrpResult Cbfrp::partition(const std::vector<CbfrpWorkload>& workloads,
       }
       const std::ptrdiff_t vs = pick_be_victim(b);
       if (vs >= 0) {
-        const auto v = static_cast<std::size_t>(vs);
+        const auto victim = static_cast<std::size_t>(vs);
         const std::uint64_t amount =
-            std::min({gap, result.alloc[v] - gfmc, unit});
-        result.alloc[v] -= amount;
+            std::min({gap, result.alloc[victim] - gfmc, unit});
+        result.alloc[victim] -= amount;
         result.alloc[b] += amount;
         const double units = static_cast<double>(amount) /
                              static_cast<double>(unit);
-        result.credits[v] += units;
+        result.credits[victim] += units;
         result.credits[b] -= units;
         ++result.reclaims;
         continue;

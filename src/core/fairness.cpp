@@ -1,15 +1,11 @@
 #include "core/fairness.hpp"
 
-#include <cassert>
-
 namespace vulcan::core {
 
-void CfiAccumulator::record_epoch(std::span<const double> alloc,
-                                  std::span<const double> fthr) {
-  assert(alloc.size() == fthr.size());
-  if (alloc.size() > x_.size()) x_.resize(alloc.size(), 0.0);
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    x_[i] += alloc[i] * fthr[i];
+void CfiAccumulator::record_epoch(std::span<const obs::AppEpochRow> rows) {
+  if (rows.size() > x_.size()) x_.resize(rows.size(), 0.0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    x_[i] += static_cast<double>(rows[i].fast_pages) * rows[i].fthr;
   }
   ++epochs_;
 }

@@ -14,6 +14,8 @@
 #include <span>
 #include <vector>
 
+#include "obs/app_stats.hpp"
+
 namespace vulcan::core {
 
 /// Jain's index over any non-negative vector. Returns 1.0 for empty/all-zero
@@ -49,9 +51,10 @@ class CfiAccumulator {
  public:
   explicit CfiAccumulator(std::size_t workloads = 0) : x_(workloads, 0.0) {}
 
-  /// Record one epoch: `alloc[i]` fast pages held, `fthr[i]` hit ratio.
-  void record_epoch(std::span<const double> alloc,
-                    std::span<const double> fthr);
+  /// Record one epoch: row i's fast pages held, weighted by its hit
+  /// ratio. A departed app's all-zero row contributes nothing, but its
+  /// cumulative term stays in the Eq. 4 population.
+  void record_epoch(std::span<const obs::AppEpochRow> rows);
 
   /// Eq. 4 over everything recorded so far.
   double cfi() const;

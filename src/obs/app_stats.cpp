@@ -1,5 +1,6 @@
 #include "obs/app_stats.hpp"
 
+#include <algorithm>
 #include <string>
 
 // Header-only on purpose: obs sits below core in the library graph, and
@@ -46,21 +47,23 @@ AppStats::PerApp& AppStats::app(std::int32_t index) {
   return pa;
 }
 
-void AppStats::record_epoch(std::span<const AppEpochSample> samples) {
-  if (!registry_ || samples.empty()) return;
+void AppStats::record_epoch(std::span<const AppEpochRow> rows) {
+  if (!registry_) return;
 
-  std::vector<double> epoch_slowdowns(samples.size(), 0.0);
+  std::vector<double> epoch_slowdowns;
   double worst = 1.0;
   std::int32_t worst_app = -1;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const AppEpochSample& s = samples[i];
-    PerApp& pa = app(s.app);
-    pa.fast_page_epochs->inc(s.fast_pages);
-    pa.stall_cycles->inc(s.stall_cycles);
-    pa.daemon_cycles->inc(s.daemon_cycles);
-    pa.shootdown_ipis->inc(s.shootdown_ipis);
-    pa.fast_pages->set(static_cast<double>(s.fast_pages));
-    const double slowdown = s.slowdown >= 1.0 ? s.slowdown : 1.0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const AppEpochRow& r = rows[i];
+    if (!r.live()) continue;
+    const auto index = static_cast<std::int32_t>(i);
+    PerApp& pa = app(index);
+    pa.fast_page_epochs->inc(r.fast_pages);
+    pa.stall_cycles->inc(r.stall_cycles);
+    pa.daemon_cycles->inc(r.daemon_cycles);
+    pa.shootdown_ipis->inc(r.shootdown_ipis);
+    pa.fast_pages->set(static_cast<double>(r.fast_pages));
+    const double slowdown = std::max(1.0, 1.0 / r.performance);
     pa.slowdown->set(slowdown);
     pa.slowdown_hist->observe(slowdown);
     // Incremental cumulative-Jain bookkeeping: retire this app's previous
@@ -80,12 +83,13 @@ void AppStats::record_epoch(std::span<const AppEpochSample> samples) {
     progress_sum_ += new_p;
     progress_sq_sum_ += new_p * new_p;
     pa.slowdown_mean->set(pa.slowdown_sum / static_cast<double>(pa.epochs));
-    epoch_slowdowns[i] = slowdown;
+    epoch_slowdowns.push_back(slowdown);
     if (worst_app < 0 || slowdown > worst) {
       worst = slowdown;
-      worst_app = s.app;
+      worst_app = index;
     }
   }
+  if (epoch_slowdowns.empty()) return;
   jain_epoch_ = core::jain_from_slowdowns(epoch_slowdowns);
   jain_cumulative_ =
       contributors_ == 0 || progress_sq_sum_ <= 0.0

@@ -4,7 +4,7 @@
 //
 // AppStats rolls two streams into the shared metrics registry:
 //
-//  * per-epoch samples pushed by the runtime — fast-tier residency,
+//  * per-epoch rows pushed by the runtime — fast-tier residency,
 //    migration stall/daemon cycles, shootdown IPIs absorbed, and the
 //    slowdown-vs-isolated estimate from the cost model (the inverse of the
 //    normalised performance metric);
@@ -27,16 +27,30 @@
 
 namespace vulcan::obs {
 
-/// One app's measurements for one epoch, as attributed by the runtime.
-struct AppEpochSample {
-  std::int32_t app = 0;
-  std::uint64_t fast_pages = 0;        ///< fast-tier residency at epoch end
-  std::uint64_t stall_cycles = 0;      ///< migration stalls charged to the app
-  std::uint64_t daemon_cycles = 0;     ///< migration-thread cycles
-  std::uint64_t shootdown_ipis = 0;    ///< remote cores interrupted for it
-  /// Estimated slowdown vs running isolated all-fast (>= 1.0): the cost
-  /// model's actual cycles-per-access over the ideal.
-  double slowdown = 1.0;
+/// One app's measurements for one epoch, as attributed by the runtime: a
+/// row of the per-epoch metrics table, the sample AppStats folds into the
+/// registry and the input of the CFI. Rows are index-aligned by app; a
+/// departed app keeps an all-zero row, recognised by performance == 0
+/// (a live row's performance is always positive, since the ideal
+/// cycles-per-access is).
+struct AppEpochRow {
+  double fthr = 0.0;           ///< fast-tier hit ratio measured this epoch
+  /// Normalised to the all-fast ideal (0..1]: the cost model's ideal
+  /// cycles-per-access over the actual. Its inverse is the slowdown.
+  double performance = 0.0;
+  double avg_latency_ns = 0.0; ///< average exposed memory latency
+  std::uint64_t fast_pages = 0;  ///< fast-tier residency at epoch end
+  std::uint64_t slow_pages = 0;
+  std::uint64_t quota = 0;     ///< policy quota (UINT64_MAX if unmanaged)
+  double accesses = 0.0;       ///< real (weighted) accesses this epoch
+  sim::Cycles stall_cycles = 0;   ///< migration stalls charged to the app
+  sim::Cycles daemon_cycles = 0;  ///< migration-thread cycles
+  std::uint64_t migrated = 0;
+  std::uint64_t failed_migrations = 0;
+  std::uint64_t shadow_remaps = 0;
+  std::uint64_t shootdown_ipis = 0;  ///< remote cores interrupted for it
+
+  bool live() const { return performance > 0.0; }
 };
 
 class AppStats final : public SpanSink {
@@ -46,9 +60,9 @@ class AppStats final : public SpanSink {
 
   bool active() const { return registry_ != nullptr; }
 
-  /// Fold one epoch of per-app samples into the registry and refresh the
-  /// fairness gauges.
-  void record_epoch(std::span<const AppEpochSample> samples);
+  /// Fold one epoch's live rows (row i is app i) into the registry and
+  /// refresh the fairness gauges.
+  void record_epoch(std::span<const AppEpochRow> rows);
 
   /// SpanSink: attribute a closing span's cycles to its app.
   void on_span_closed(std::int32_t workload, SpanKind kind,

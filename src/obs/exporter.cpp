@@ -31,7 +31,9 @@ void write_csv_value(std::ostream& out, const Value& v) {
   std::visit([&](const auto& x) { out << x; }, v);
 }
 
-void write_json_string(std::ostream& out, const std::string& s) {
+}  // namespace
+
+void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
   for (const char c : s) {
     switch (c) {
@@ -52,6 +54,8 @@ void write_json_string(std::ostream& out, const std::string& s) {
   }
   out << '"';
 }
+
+namespace {
 
 void write_json_value(std::ostream& out, const Value& v) {
   if (const auto* s = std::get_if<std::string>(&v)) {

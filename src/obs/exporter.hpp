@@ -10,6 +10,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -61,6 +62,10 @@ class JsonlExporter final : public Exporter {
   std::ostream* out_;
   std::vector<std::string> columns_;
 };
+
+/// Write `s` as a quoted JSON string: quote, backslash, \n, \r and \t
+/// escaped, other control characters as lowercase \u00XX.
+void write_json_string(std::ostream& out, std::string_view s);
 
 class Registry;
 

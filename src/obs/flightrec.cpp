@@ -6,32 +6,12 @@
 #include <sstream>
 #include <string_view>
 
+#include "obs/exporter.hpp"
 #include "obs/jsonl_scan.hpp"
 
 namespace vulcan::obs {
 
 namespace {
-
-void write_escaped(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 /// Shortest round-trip double literal (matches the registry's JSON writer
 /// philosophy: deterministic bytes for a deterministic value).
@@ -82,11 +62,11 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
   // scanners, and the registry snapshot must own the first quoted
   // "counters" token in the file (string payloads above it are escaped, so
   // they can never contain the bare token).
-  out << "{\n\"flight_version\": 1,\n\"reason\": \"";
-  write_escaped(out, info.reason);
-  out << "\",\n\"cause\": \"";
-  write_escaped(out, info.cause);
-  out << "\",\n\"epoch\": " << info.epoch << ",\n";
+  out << "{\n\"flight_version\": 1,\n\"reason\": ";
+  write_json_string(out, info.reason);
+  out << ",\n\"cause\": ";
+  write_json_string(out, info.cause);
+  out << ",\n\"epoch\": " << info.epoch << ",\n";
   std::snprintf(buf, sizeof buf, "%.6f", sim::CpuClock::to_seconds(info.now));
   out << "\"t_s\": " << buf << ",\n"
       << "\"trace_horizon_epochs\": " << cfg_.epochs << ",\n";
@@ -98,9 +78,9 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
     const std::vector<SloSpec>& specs = slo_->specs();
     for (const SloRuleState& st : slo_->states()) {
       const SloSpec& spec = specs[st.rule];
-      out << (first ? "" : ",\n") << "{\"rule\":\"";
-      write_escaped(out, spec.name);
-      out << "\",\"severity\":\"" << slo_severity_name(spec.severity)
+      out << (first ? "" : ",\n") << "{\"rule\":";
+      write_json_string(out, spec.name);
+      out << ",\"severity\":\"" << slo_severity_name(spec.severity)
           << "\",\"app\":" << st.app
           << ",\"violated\":" << (st.violated ? "true" : "false")
           << ",\"value\":";
@@ -132,9 +112,9 @@ bool FlightRecorder::dump(std::ostream& out, const DumpInfo& info) const {
           << check::audit_rule_name(v.rule) << "\",\"w\":" << v.workload
           << ",\"detail\":" << v.detail << ",\"value\":";
       write_double(out, v.value);
-      out << ",\"message\":\"";
-      write_escaped(out, v.message);
-      out << "\"}";
+      out << ",\"message\":";
+      write_json_string(out, v.message);
+      out << "}";
       first = false;
     }
     if (!first) out << "\n";

@@ -1,13 +1,14 @@
-#include "policy/mtm.hpp"
+#include "policy/threshold.hpp"
 
 #include <algorithm>
 
 namespace vulcan::policy {
 
-void MtmPolicy::plan_epoch(std::span<WorkloadView> workloads,
-                           mem::Topology& topo, sim::Rng& rng) {
+void ThresholdPlanner::plan_epoch(std::span<WorkloadView> workloads,
+                                  mem::Topology& topo, sim::Rng& rng) {
   (void)rng;
-  // Global capacity-driven hot threshold, as in Memtis.
+  // Global hotness ranking across every managed page (the defining Memtis
+  // behaviour: raw access counts, no per-workload normalisation).
   std::vector<float> heats;
   std::uint64_t total_pages = 0;
   for (const WorkloadView& view : workloads) total_pages += view.tracker->pages();
@@ -32,6 +33,7 @@ void MtmPolicy::plan_epoch(std::span<WorkloadView> workloads,
 
   for (WorkloadView& view : workloads) {
     std::uint64_t issued = 0;
+    // Promote: slow pages above the global threshold, hottest first.
     TierHeatRanking slow_hot(view, mem::kSlowTier, /*hottest_first=*/true);
     while (slow_hot.more()) {
       const std::uint64_t page = slow_hot.next();
@@ -39,14 +41,14 @@ void MtmPolicy::plan_epoch(std::span<WorkloadView> workloads,
       if (issued >= params_.max_migrations_per_workload) break;
       // MTM's contribution: write-intensive pages copy synchronously (the
       // dirty-retry regime async handles poorly), read-intensive async.
-      const bool write_hot =
-          view.tracker->write_intensive(page, params_.write_share_threshold);
+      const bool sync = write_sync_ && view.tracker->write_intensive(page);
       view.migration->enqueue(make_request(
           view, page, mem::kFastTier,
-          write_hot ? mig::CopyMode::kSync : mig::CopyMode::kAsync,
+          sync ? mig::CopyMode::kSync : mig::CopyMode::kAsync,
           {.rank = issued, .threshold = threshold}));
       ++issued;
     }
+    // Demote: fast pages below the global threshold, coldest first.
     issued = 0;
     TierHeatRanking fast_cold(view, mem::kFastTier, /*hottest_first=*/false);
     while (fast_cold.more()) {
@@ -60,6 +62,15 @@ void MtmPolicy::plan_epoch(std::span<WorkloadView> workloads,
       ++issued;
     }
   }
+}
+
+mig::Migrator::Config ThresholdPlanner::migrator_config() const {
+  mig::Migrator::Config cfg;
+  cfg.mechanism.optimized_prep = false;
+  cfg.mechanism.targeted_shootdown = false;  // no ownership knowledge
+  cfg.mechanism.online_cpus = params_.online_cpus;
+  cfg.shadowing = false;
+  return cfg;
 }
 
 }  // namespace vulcan::policy

@@ -12,10 +12,8 @@
 #include "mig/mechanism.hpp"
 #include "obs/scope.hpp"
 #include "policy/cascade.hpp"
-#include "policy/memtis.hpp"
-#include "policy/mtm.hpp"
-#include "policy/nomad.hpp"
-#include "policy/tpp.hpp"
+#include "policy/threshold.hpp"
+#include "policy/watermark.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::runtime {

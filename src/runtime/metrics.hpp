@@ -5,30 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "obs/app_stats.hpp"
 #include "obs/exporter.hpp"
-#include "sim/clock.hpp"
 
 namespace vulcan::runtime {
 
-/// One workload's measurements for one epoch.
-struct WorkloadEpochMetrics {
-  double fthr = 0.0;           ///< fast-tier hit ratio measured this epoch
-  double performance = 0.0;    ///< normalised to the all-fast ideal (0..1]
-  double avg_latency_ns = 0.0; ///< average exposed memory latency
-  std::uint64_t fast_pages = 0;
-  std::uint64_t slow_pages = 0;
-  std::uint64_t quota = 0;     ///< policy quota (UINT64_MAX if unmanaged)
-  double accesses = 0.0;       ///< real (weighted) accesses this epoch
-  sim::Cycles stall_cycles = 0;
-  sim::Cycles daemon_cycles = 0;
-  std::uint64_t migrated = 0;
-  std::uint64_t failed_migrations = 0;
-  std::uint64_t shadow_remaps = 0;
-};
-
 struct EpochMetrics {
   double time_s = 0.0;
-  std::vector<WorkloadEpochMetrics> workloads;
+  std::vector<obs::AppEpochRow> workloads;  ///< one row per workload index
 };
 
 class MetricsRecorder {
@@ -39,11 +23,10 @@ class MetricsRecorder {
   bool empty() const { return epochs_.empty(); }
 
   /// Mean of a per-workload field over epochs [from, to) where the
-  /// workload existed *and ran*. Getter receives the workload metrics.
+  /// workload existed *and ran*. Getter receives the workload's row.
   /// Departed (fleet-churned) workloads keep an index-aligned all-zero row
-  /// each epoch; those rows are identified by performance == 0 (live rows
-  /// always have performance > 0 since the ideal CPA is positive) and
-  /// excluded, so a workload's mean covers only its live epochs.
+  /// each epoch; those rows are not live() and are excluded, so a
+  /// workload's mean covers only its live epochs.
   template <typename Getter>
   double mean(std::size_t workload, Getter&& get, std::size_t from = 0,
               std::size_t to = SIZE_MAX) const {
@@ -52,7 +35,7 @@ class MetricsRecorder {
     const std::size_t hi = std::min(to, epochs_.size());
     for (std::size_t e = from; e < hi; ++e) {
       if (workload < epochs_[e].workloads.size() &&
-          epochs_[e].workloads[workload].performance > 0.0) {
+          epochs_[e].workloads[workload].live()) {
         sum += get(epochs_[e].workloads[workload]);
         ++n;
       }
@@ -62,12 +45,12 @@ class MetricsRecorder {
 
   double mean_performance(std::size_t workload, std::size_t from = 0) const {
     return mean(workload,
-                [](const WorkloadEpochMetrics& m) { return m.performance; },
+                [](const obs::AppEpochRow& m) { return m.performance; },
                 from);
   }
   double mean_fthr(std::size_t workload, std::size_t from = 0) const {
     return mean(workload,
-                [](const WorkloadEpochMetrics& m) { return m.fthr; }, from);
+                [](const obs::AppEpochRow& m) { return m.fthr; }, from);
   }
 
   /// Column names of the per-epoch-per-workload table (shared by every

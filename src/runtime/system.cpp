@@ -125,18 +125,14 @@ TieredSystem::TieredSystem(Config config,
                                   provenance_.enabled() ? &provenance_
                                                         : nullptr);
   }
-  if (config_.migration_budget_override > 0) {
-    migration_budget_ = config_.migration_budget_override;
-  } else {
-    // Half the inter-tier link bandwidth (capacity-scaled) over one epoch:
-    // kernels throttle migration so demand traffic is never fully starved,
-    // and migration bytes feed back into the loaded-latency model.
-    const double epoch_s = sim::CpuClock::to_seconds(config_.epoch);
-    const double bytes = 0.5 * config_.machine.slow_bw_gbps * 1e9 /
-                         static_cast<double>(sim::kCapacityScale) * epoch_s;
-    migration_budget_ = std::max<std::uint64_t>(
-        16, static_cast<std::uint64_t>(bytes / sim::kPageSize));
-  }
+  // Half the inter-tier link bandwidth (capacity-scaled) over one epoch:
+  // kernels throttle migration so demand traffic is never fully starved,
+  // and migration bytes feed back into the loaded-latency model.
+  const double epoch_s = sim::CpuClock::to_seconds(config_.epoch);
+  const double bytes = 0.5 * config_.machine.slow_bw_gbps * 1e9 /
+                       static_cast<double>(sim::kCapacityScale) * epoch_s;
+  migration_budget_ = std::max<std::uint64_t>(
+      16, static_cast<std::uint64_t>(bytes / sim::kPageSize));
 }
 
 TieredSystem::~TieredSystem() = default;
@@ -490,24 +486,18 @@ void TieredSystem::run_one_epoch() {
         static_cast<double>(sim::kCapacityScale);
   }
 
-  // (6) Metrics: per-workload performance and FTHR; CFI accumulation.
+  // (6) Metrics: one row per workload index; the recorder keeps the rows,
+  // and AppStats and the CFI fold them. A departed workload keeps its
+  // (zeroed, not live) row: it contributes nothing this epoch, but its
+  // pre-departure cumulative weighted allocation stays in the Eq. 4
+  // population.
   EpochMetrics epoch;
   epoch.time_s = now_seconds();
-  std::vector<double> alloc_shares, fthrs;
-  std::vector<obs::AppEpochSample> app_samples;
+  epoch.workloads.resize(workloads_.size());
   for (std::size_t i = 0; i < workloads_.size(); ++i) {
     auto& mw = *workloads_[i];
-    if (mw.departed) {
-      // Keep the row (per-epoch metrics are index-aligned) but leave it
-      // zeroed. The CFI accumulator is index-aligned too: a departed app
-      // contributes nothing this epoch but its pre-departure cumulative
-      // weighted allocation stays in the Eq. 4 population.
-      epoch.workloads.emplace_back();
-      alloc_shares.push_back(0.0);
-      fthrs.push_back(0.0);
-      continue;
-    }
-    WorkloadEpochMetrics m;
+    if (mw.departed) continue;
+    obs::AppEpochRow& m = epoch.workloads[i];
     const double total_accesses = mw.epoch_fast + mw.epoch_slow;
     m.accesses = total_accesses;
     m.fthr = total_accesses > 0 ? mw.epoch_fast / total_accesses : 0.0;
@@ -519,11 +509,11 @@ void TieredSystem::run_one_epoch() {
         static_cast<double>(config_.machine.fast_latency_ns));
     double actual_cpa = w.cycles_per_access(m.avg_latency_ns);
     if (total_accesses > 0) {
-      double overhead = static_cast<double>(mw.epoch_migration.stall_cycles +
-                                            mw.epoch_inline_overhead);
-      if (config_.charge_daemon_to_app) {
-        overhead += static_cast<double>(mw.epoch_migration.daemon_cycles);
-      }
+      // Migration threads and profiling daemons run on the application's
+      // dedicated cores (§3.2), so their cycles steal app throughput too.
+      const double overhead = static_cast<double>(
+          mw.epoch_migration.stall_cycles + mw.epoch_inline_overhead +
+          mw.epoch_migration.daemon_cycles);
       actual_cpa += overhead / total_accesses;
     }
     m.performance = actual_cpa > 0 ? ideal_cpa / actual_cpa : 1.0;
@@ -538,23 +528,11 @@ void TieredSystem::run_one_epoch() {
     m.migrated = mw.epoch_migration.migrated;
     m.failed_migrations = mw.epoch_migration.failed;
     m.shadow_remaps = mw.epoch_migration.shadow_remaps;
-    epoch.workloads.push_back(m);
-
-    alloc_shares.push_back(static_cast<double>(m.fast_pages));
-    fthrs.push_back(m.fthr);
-
-    obs::AppEpochSample sample;
-    sample.app = static_cast<std::int32_t>(i);
-    sample.fast_pages = m.fast_pages;
-    sample.stall_cycles = m.stall_cycles;
-    sample.daemon_cycles = m.daemon_cycles;
-    sample.shootdown_ipis = mw.epoch_migration.shootdown_ipis;
-    sample.slowdown = m.performance > 0 ? 1.0 / m.performance : 1.0;
-    app_samples.push_back(sample);
+    m.shootdown_ipis = mw.epoch_migration.shootdown_ipis;
   }
-  cfi_.record_epoch(alloc_shares, fthrs);
+  cfi_.record_epoch(epoch.workloads);
+  if (app_stats_.active()) app_stats_.record_epoch(epoch.workloads);
   metrics_.record(std::move(epoch));
-  if (app_stats_.active()) app_stats_.record_epoch(app_samples);
 
   // Registry snapshot of the system-level signals the figures explain.
   root.counter("epochs").inc();

@@ -76,12 +76,6 @@ class TieredSystem {
     ProfilerKind profiler = ProfilerKind::kHybrid;
     bool thp = true;
     std::uint64_t seed = 42;
-    /// Override the inter-tier migration budget (pages/epoch); 0 = derive
-    /// from the (capacity-scaled) link bandwidth.
-    std::uint64_t migration_budget_override = 0;
-    /// Migration threads and profiling daemons run on the application's
-    /// dedicated cores (§3.2), so their cycles steal app throughput.
-    bool charge_daemon_to_app = true;
     /// Structured-trace ring capacity (events retained; oldest dropped).
     std::size_t trace_capacity = 1 << 16;
     /// Record hierarchical timeline spans (epoch -> policy -> migration ->

@@ -94,6 +94,10 @@ TEST(AuditorFaultInjection, CorruptPteIsCaughtAsFreedFrame) {
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, AuditRule::kFreedFrame))
       << format_report(report);
+
+  // Point the mapping back at its own frame: teardown frees every mapped
+  // frame, and the bogus one is already free.
+  as.tables().set(vpn, pte);
 }
 
 TEST(AuditorFaultInjection, LeakedFrameIsCaughtAsConservationBreak) {

@@ -106,37 +106,40 @@ TEST_P(JainBoundsP, BoundsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, JainBoundsP, ::testing::Values(1, 2, 3, 8, 32));
 
+// One epoch's rows: row i holds alloc[i] fast pages at hit ratio fthr[i].
+std::vector<obs::AppEpochRow> rows(const std::vector<double>& alloc,
+                                   const std::vector<double>& fthr) {
+  std::vector<obs::AppEpochRow> out(alloc.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].fast_pages = static_cast<std::uint64_t>(alloc[i]);
+    out[i].fthr = fthr[i];
+  }
+  return out;
+}
+
 TEST(Cfi, WeightsAllocationByUsefulness) {
   // Two workloads with equal allocations, but one wastes its fast memory
   // (FTHR 0): CFI must be below plain Jain of allocations (which is 1).
   CfiAccumulator acc(2);
-  const double alloc[] = {100.0, 100.0};
-  const double fthr[] = {1.0, 0.0};
-  acc.record_epoch(alloc, fthr);
+  acc.record_epoch(rows({100.0, 100.0}, {1.0, 0.0}));
   EXPECT_LT(acc.cfi(), 1.0);
   EXPECT_DOUBLE_EQ(acc.cfi(), 0.5);  // degenerate monopoly of useful alloc
 }
 
 TEST(Cfi, AccumulatesOverEpochs) {
   CfiAccumulator acc(2);
-  const double a1[] = {100.0, 0.0};
-  const double a2[] = {0.0, 100.0};
-  const double f[] = {1.0, 1.0};
-  acc.record_epoch(a1, f);
+  acc.record_epoch(rows({100.0, 0.0}, {1.0, 1.0}));
   EXPECT_DOUBLE_EQ(acc.cfi(), 0.5);
-  acc.record_epoch(a2, f);  // long-term: both got the same cumulative share
+  // Long-term: both got the same cumulative share.
+  acc.record_epoch(rows({0.0, 100.0}, {1.0, 1.0}));
   EXPECT_DOUBLE_EQ(acc.cfi(), 1.0);
   EXPECT_EQ(acc.epochs(), 2u);
 }
 
 TEST(Cfi, GrowsWithLateArrivals) {
   CfiAccumulator acc;
-  const double a1[] = {10.0};
-  const double f1[] = {1.0};
-  acc.record_epoch(a1, f1);
-  const double a2[] = {10.0, 10.0};
-  const double f2[] = {1.0, 1.0};
-  acc.record_epoch(a2, f2);
+  acc.record_epoch(rows({10.0}, {1.0}));
+  acc.record_epoch(rows({10.0, 10.0}, {1.0, 1.0}));
   EXPECT_GT(acc.cfi(), 0.5);
   EXPECT_LT(acc.cfi(), 1.0) << "the late arrival accumulated less";
 }

@@ -12,21 +12,20 @@
 namespace vulcan::obs {
 namespace {
 
-std::vector<AppEpochSample> two_apps(double slow0, double slow1) {
-  AppEpochSample a;
-  a.app = 0;
+// Row i is app i; a row's slowdown is 1 / performance.
+std::vector<AppEpochRow> two_apps(double slow0, double slow1) {
+  AppEpochRow a;
   a.fast_pages = 100;
   a.stall_cycles = 5000;
   a.daemon_cycles = 700;
   a.shootdown_ipis = 12;
-  a.slowdown = slow0;
-  AppEpochSample b;
-  b.app = 1;
+  a.performance = 1.0 / slow0;
+  AppEpochRow b;
   b.fast_pages = 40;
   b.stall_cycles = 90;
   b.daemon_cycles = 10;
   b.shootdown_ipis = 3;
-  b.slowdown = slow1;
+  b.performance = 1.0 / slow1;
   return {a, b};
 }
 
@@ -81,11 +80,8 @@ TEST(AppStats, JainReferenceValues) {
   {
     Registry reg;
     AppStats stats(&reg);
-    std::vector<AppEpochSample> equal(4);
-    for (int i = 0; i < 4; ++i) {
-      equal[i].app = i;
-      equal[i].slowdown = 5.0;
-    }
+    std::vector<AppEpochRow> equal(4);
+    for (int i = 0; i < 4; ++i) equal[i].performance = 1.0 / 5.0;
     stats.record_epoch(equal);
     EXPECT_NEAR(stats.jain_epoch(), 1.0, 1e-12);
   }
@@ -93,11 +89,8 @@ TEST(AppStats, JainReferenceValues) {
     Registry reg;
     AppStats stats(&reg);
     // One app at full speed, three (near-)starved: progress ~ {1, 0, 0, 0}.
-    std::vector<AppEpochSample> skew(4);
-    for (int i = 0; i < 4; ++i) {
-      skew[i].app = i;
-      skew[i].slowdown = i == 0 ? 1.0 : 1e9;
-    }
+    std::vector<AppEpochRow> skew(4);
+    for (int i = 0; i < 4; ++i) skew[i].performance = i == 0 ? 1.0 : 1e-9;
     stats.record_epoch(skew);
     EXPECT_NEAR(stats.jain_epoch(), 0.25, 1e-6);
   }

@@ -12,10 +12,10 @@
 #include <string>
 
 #include "check/invariants.hpp"
+#include "mem/topology.hpp"
 #include "obs/slo.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/system.hpp"
-#include "vm/address_space.hpp"
 #include "wl/apps.hpp"
 
 namespace vulcan::obs {
@@ -42,17 +42,6 @@ void add_workload(runtime::TieredSystem& sys, std::uint64_t seed = 11) {
   sys.add_workload(std::make_unique<wl::MicrobenchWorkload>(p));
 }
 
-/// Cross-wire chunk 0's cached walk to chunk 1's leaf table (the same
-/// seeded fault vm_mmu_test plants), so the next audit fails for real.
-void poison_pwc(runtime::TieredSystem& sys) {
-  const vm::AddressSpace& as = sys.address_space(0);
-  const vm::LeafTable* wrong =
-      as.tables().process_table().leaf_of(as.vpn_at(sim::kPagesPerHuge));
-  ASSERT_NE(wrong, nullptr);
-  sys.mmu().debug_poison_pwc(as.pid(), as.vpn_at(0),
-                             const_cast<vm::LeafTable*>(wrong));
-}
-
 TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   const std::string path =
       ::testing::TempDir() + "/flight_audit_failure.json";
@@ -65,7 +54,9 @@ TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   sys.run_epochs(2);
   ASSERT_FALSE(sys.flight().auto_dumped());
 
-  poison_pwc(sys);
+  // Leak a fast-tier frame: a fault nothing but the epoch's audit sees
+  // (check_invariants_test seeds the same one).
+  ASSERT_TRUE(sys.topology().allocator(mem::kFastTier).allocate().has_value());
   EXPECT_THROW(sys.run_epochs(1), check::AuditFailure);
   ASSERT_TRUE(sys.flight().auto_dumped());
   EXPECT_EQ(sys.flight().auto_dump_path(), path);
@@ -80,7 +71,7 @@ TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   ASSERT_TRUE(dump->audit_present);
   EXPECT_EQ(dump->audit_epoch, 3u);
   ASSERT_FALSE(dump->audit_violations.empty());
-  EXPECT_EQ(dump->audit_violations.front().rule, "pwc_coherence");
+  EXPECT_EQ(dump->audit_violations.front().rule, "frame_conservation");
   // The whole telemetry storey made it into the box.
   EXPECT_FALSE(dump->slo.empty());
   EXPECT_FALSE(dump->trace.empty());
@@ -91,7 +82,7 @@ TEST(FlightRecorder, AuditFailureAutoDumpsOnceAndParsesBack) {
   std::ostringstream report;
   write_flight_report(*dump, report);
   EXPECT_NE(report.str().find("reason:  audit_failure"), std::string::npos);
-  EXPECT_NE(report.str().find("pwc_coherence"), std::string::npos);
+  EXPECT_NE(report.str().find("frame_conservation"), std::string::npos);
   EXPECT_NE(report.str().find("vulcan fairness report"), std::string::npos);
 }
 

@@ -126,7 +126,7 @@ TEST(WhatIfEngine, RankingExcludesCadenceAndDeviceKnobs) {
 // The headline determinism contract: two engines over the identical seed
 // and grid produce byte-identical sensitivity tables and BENCH_whatif.json.
 // A short two-knob grid keeps this test fast; the full default grid runs in
-// the whatif-smoke CI job.
+// the battery-smoke CI job.
 TEST(WhatIfEngine, IdenticalSeedAndGridAreByteIdentical) {
   const std::vector<Perturbation> grid{
       {WhatIfKnob::kShootdownCost, 0.9},

@@ -2,10 +2,11 @@
 // VulcanManager over hand-built workload views.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/manager.hpp"
-#include "policy/memtis.hpp"
-#include "policy/nomad.hpp"
-#include "policy/tpp.hpp"
+#include "policy/threshold.hpp"
+#include "policy/watermark.hpp"
 #include "vm/mmu.hpp"
 
 namespace vulcan::policy {
@@ -160,6 +161,43 @@ TEST(Tpp, WatermarkDemotionRestoresHeadroom) {
   EXPECT_FALSE(world.topo_.allocator(mem::kFastTier).below_watermark(0.10));
 }
 
+// Plan one epoch of a watermark policy (low/high watermarks 0.10/0.20)
+// over a full fast tier held half by each workload, every page cold, and
+// return the demotions queued per workload.
+template <typename Policy>
+std::array<std::uint64_t, 2> cold_reclaim_split() {
+  typename Policy::Params params;
+  params.low_watermark = 0.10;
+  params.high_watermark = 0.20;
+  Policy policy(params);
+  PolicyWorld world(policy);
+  for (unsigned w = 0; w < 2; ++w) {
+    for (std::uint64_t p = 0; p < PolicyWorld::kFastCap / 2; ++p) {
+      auto frame = world.topo_.allocator(mem::kFastTier).allocate();
+      EXPECT_TRUE(frame.has_value());
+      const auto old = world.as_[w]->remap(world.as_[w]->vpn_at(p), *frame);
+      world.topo_.allocator(mem::tier_of(old)).free(old);
+    }
+  }
+  auto views = world.views();
+  policy.plan_epoch(views, world.topo_, world.rng_);
+  return {world.threads_[0]->backlog(), world.threads_[1]->backlog()};
+}
+
+// TPP and Nomad share the watermark planner and differ in reclaim order:
+// TPP's kswapd-style sweep takes one page per workload per pass, while
+// Nomad drains workload 0's cold list before it looks at workload 1.
+TEST(Tpp, ReclaimSweepsRoundRobinWhereNomadDrainsInOrder) {
+  // The full tier must free its high watermark: 20% of 512 pages.
+  const std::uint64_t need = PolicyWorld::kFastCap / 5;
+  const auto tpp = cold_reclaim_split<TppPolicy>();
+  EXPECT_EQ(tpp[0], need / 2);
+  EXPECT_EQ(tpp[1], need / 2);
+  const auto nomad = cold_reclaim_split<NomadPolicy>();
+  EXPECT_EQ(nomad[0], need);
+  EXPECT_EQ(nomad[1], 0u);
+}
+
 // ---------------------------------------------------------------- Memtis
 
 TEST(Memtis, GlobalThresholdFavoursRawHeat) {
@@ -204,6 +242,20 @@ TEST(Memtis, MigrationsAreAsync) {
   world.heat_pages(0, 16, 5.0);
   auto views = world.views();
   policy.plan_epoch(views, world.topo_, world.rng_);
+  const auto stats = world.threads_[0]->run_epoch(100, world.rng_);
+  EXPECT_EQ(stats.stall_cycles, 0u);
+  EXPECT_GT(stats.daemon_cycles, 0u);
+}
+
+TEST(Memtis, WriteHotPagesCopyAsync) {
+  // MTM, Memtis's threshold twin, copies write-hot pages synchronously
+  // (Mtm.WriteIntensityPicksCopyMode); Memtis never blocks the app.
+  MemtisPolicy policy;
+  PolicyWorld world(policy);
+  world.heat_pages(0, 16, 5.0, /*writes=*/true);
+  auto views = world.views();
+  policy.plan_epoch(views, world.topo_, world.rng_);
+  ASSERT_EQ(world.threads_[0]->backlog(), 16u);
   const auto stats = world.threads_[0]->run_epoch(100, world.rng_);
   EXPECT_EQ(stats.stall_cycles, 0u);
   EXPECT_GT(stats.daemon_cycles, 0u);

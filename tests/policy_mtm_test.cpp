@@ -1,8 +1,6 @@
-#include "policy/mtm.hpp"
-
 #include <gtest/gtest.h>
 
-#include "policy/memtis.hpp"
+#include "policy/threshold.hpp"
 #include "vm/mmu.hpp"
 
 namespace vulcan::policy {

@@ -16,7 +16,7 @@ EpochMetrics make_epoch(double t, std::initializer_list<double> fthrs) {
   EpochMetrics e;
   e.time_s = t;
   for (const double f : fthrs) {
-    WorkloadEpochMetrics m;
+    obs::AppEpochRow m;
     m.fthr = f;
     m.performance = f * 0.9;
     m.fast_pages = static_cast<std::uint64_t>(f * 1000);

@@ -8,8 +8,8 @@
 // --jobs 1 battery export byte-compare equal to a --jobs 8 one.
 //
 //   vulcan_sim --scenario dilemma --seconds 20 --provenance /tmp/dilemma
-//   vulcan_pagescope --transitions /tmp/dilemma.vulcan.transitions.jsonl \
-//                    --decisions   /tmp/dilemma.vulcan.decisions.jsonl \
+//   vulcan_pagescope --transitions /tmp/dilemma.vulcan.transitions.jsonl
+//                    --decisions   /tmp/dilemma.vulcan.decisions.jsonl
 //                    --churn --thrash 10
 //   vulcan_pagescope --transitions ... --history 0:1234
 //   vulcan_pagescope --transitions ... --heatmap heat.csv

@@ -4,8 +4,7 @@
 // accounting table, the fairness indices and the worst offender's critical
 // path through the span timeline:
 //
-//   vulcan_sim --scenario dilemma --seconds 20 \
-//              --metrics m.json --trace t.jsonl
+//   vulcan_sim --scenario dilemma --seconds 20 --metrics m.json --trace t.jsonl
 //   vulcan_report --metrics m.json --trace t.jsonl
 //
 // Output is deterministic: identical-seed runs produce byte-identical

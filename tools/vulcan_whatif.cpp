@@ -12,7 +12,7 @@
 // across an exec worker pool; results merge in grid order, so identical
 // seed + grid produce byte-identical table and JSON *for any job count*
 // (asserted by obs_whatif_test, exec_parallel_equivalence_test and the
-// whatif-smoke CI job).
+// battery-smoke CI job).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
