@@ -6,13 +6,8 @@
 // on_each_cpu_mask() broadcast); TLB shootdown is the second-largest phase
 // at high core counts.
 //
-// The numbers are read back from the obs::Registry the mechanism reports
-// into — the same counters the full runtime publishes — rather than from
-// the returned PhaseBreakdown, so the figure doubles as a check that the
-// instrumentation accounts every cycle. Rows come from the shared
-// runtime::migration_breakdown_battery (one independent job per CPU count,
-// merged in submission order), so the harness also exercises the exec
-// worker pool without changing a byte of output.
+// Each row is MigrationMechanism::single_page(): prep plus the page_move()
+// composition the migrator charges for a live single-page move.
 #include <vulcan/vulcan.hpp>
 
 #include "bench_util.hpp"
@@ -26,24 +21,25 @@ int main() {
   bench::CsvSink csv("fig2_migration_breakdown",
                      "cpus,prep,unmap,shootdown,copy,remap,total,prep_share");
 
-  const std::vector<unsigned> cpus_list = {2u, 4u, 8u, 16u, 24u, 32u};
-  const auto rows =
-      runtime::migration_breakdown_battery(cpus_list, /*jobs=*/0);
-
+  const sim::CostModel cost;
   std::printf("%5s %10s %10s %10s %10s %10s %11s %11s\n", "cpus", "prep",
               "unmap", "shootdown", "copy", "remap", "total", "prep-share");
-  for (const runtime::MigrationBreakdownRow& row : rows) {
+  for (const unsigned cpus : {2u, 4u, 8u, 16u, 24u, 32u}) {
+    // The migrating page may be cached by every other core (vanilla
+    // process-wide tables give no tighter bound).
+    const mig::PhaseBreakdown b =
+        mig::MigrationMechanism(cost, {.online_cpus = cpus})
+            .single_page(cpus - 1, cpus - 1);
     std::printf("%5u %10llu %10llu %10llu %10llu %10llu %11llu %10.1f%%\n",
-                row.cpus, (unsigned long long)row.prep,
-                (unsigned long long)row.unmap,
-                (unsigned long long)row.shootdown,
-                (unsigned long long)row.copy, (unsigned long long)row.remap,
-                (unsigned long long)row.total(), 100.0 * row.prep_share());
-    csv.row("%u,%llu,%llu,%llu,%llu,%llu,%llu,%.4f", row.cpus,
-            (unsigned long long)row.prep, (unsigned long long)row.unmap,
-            (unsigned long long)row.shootdown, (unsigned long long)row.copy,
-            (unsigned long long)row.remap, (unsigned long long)row.total(),
-            row.prep_share());
+                cpus, (unsigned long long)b.prep, (unsigned long long)b.unmap,
+                (unsigned long long)b.shootdown, (unsigned long long)b.copy,
+                (unsigned long long)b.remap, (unsigned long long)b.total(),
+                100.0 * b.prep_share());
+    csv.row("%u,%llu,%llu,%llu,%llu,%llu,%llu,%.4f", cpus,
+            (unsigned long long)b.prep, (unsigned long long)b.unmap,
+            (unsigned long long)b.shootdown, (unsigned long long)b.copy,
+            (unsigned long long)b.remap, (unsigned long long)b.total(),
+            b.prep_share());
   }
 
   std::printf(

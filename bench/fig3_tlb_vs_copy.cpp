@@ -4,6 +4,9 @@
 // Paper anchors: with few pages, copying dominates; TLB coherence grows
 // with both pages and threads, reaching ~65% of migration time at
 // 32 threads x 512 pages.
+//
+// Each cell is the phases of mig::chunk_move(), the composition the
+// migrator charges for a batched whole-chunk move.
 #include <vulcan/vulcan.hpp>
 
 #include "bench_util.hpp"
@@ -29,11 +32,12 @@ int main() {
     for (unsigned threads : {2u, 8u, 16u, 32u}) {
       // Steady-state batched regime (overlapped flush IPIs): all `threads`
       // threads touch the batch, so flushes reach threads-1 remote cores.
-      const auto tlb_c = cost.shootdown_batched(pages, threads - 1);
-      const auto copy_c = cost.copy_batched(pages);
-      const auto other_c =
-          cost.unmap_batched(pages) + cost.remap_batched(pages);
-      const double total = static_cast<double>(tlb_c + copy_c + other_c);
+      const mig::PhaseBreakdown b =
+          mig::chunk_move(cost, pages, threads - 1, mig::CopyKind::kCpu);
+      const auto tlb_c = b.shootdown;
+      const auto copy_c = b.copy;
+      const auto other_c = b.unmap + b.remap;
+      const double total = static_cast<double>(b.total());
       const double tlb = static_cast<double>(tlb_c) / total;
       const double copy = static_cast<double>(copy_c) / total;
       std::printf("   %5.1f / %5.1f   |", 100 * tlb, 100 * copy);

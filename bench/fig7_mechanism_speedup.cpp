@@ -5,12 +5,9 @@
 // with targeted TLB shootdowns added, for 2-page migrations; gains shrink
 // as page copying dominates larger batches.
 //
-// Total cycles per variant are read back from each variant's obs::Registry
-// (sum of the five per-phase counters) instead of the raw PhaseBreakdown,
-// exercising the same accounting path as the full runtime. Rows come from
-// the shared runtime::mechanism_speedup_battery (one independent job per
-// batch size, merged in submission order), so the harness also exercises
-// the exec worker pool without changing a byte of output.
+// Each variant's cycles are MigrationMechanism::batch().total() in the
+// microbench setting: 32 CPUs online, an 8-thread process, and per-thread
+// page tables proving ~1 sharer for most pages.
 #include <vulcan/vulcan.hpp>
 
 #include "bench_util.hpp"
@@ -25,24 +22,39 @@ int main() {
                      "pages,baseline_cycles,prep_opt_cycles,both_cycles,"
                      "speedup_prep,speedup_both");
 
-  const std::vector<std::uint64_t> pages_list = {2, 4, 8, 16, 32, 64, 128,
-                                                 256, 512};
-  const auto rows = runtime::mechanism_speedup_battery(pages_list, /*jobs=*/0);
+  constexpr unsigned kProcessRemote = 7;
+  constexpr unsigned kSharerRemote = 1;
+  const sim::CostModel cost;
+  const mig::MigrationMechanism baseline(cost, {.online_cpus = 32});
+  const mig::MigrationMechanism prep_opt(
+      cost, {.optimized_prep = true, .online_cpus = 32});
+  const mig::MigrationMechanism both(
+      cost,
+      {.optimized_prep = true, .targeted_shootdown = true, .online_cpus = 32});
 
   std::printf("%7s %14s %14s %14s %11s %11s\n", "pages", "baseline",
               "prep-opt", "prep+tlb", "speedup-1", "speedup-2");
-  for (const runtime::MechanismSpeedupRow& row : rows) {
+  for (const std::uint64_t pages :
+       {2ull, 4ull, 8ull, 16ull, 32ull, 64ull, 128ull, 256ull, 512ull}) {
+    const sim::Cycles baseline_cycles =
+        baseline.batch(pages, kProcessRemote, kSharerRemote).total();
+    const sim::Cycles prep_opt_cycles =
+        prep_opt.batch(pages, kProcessRemote, kSharerRemote).total();
+    const sim::Cycles both_cycles =
+        both.batch(pages, kProcessRemote, kSharerRemote).total();
+    const double speedup_prep = static_cast<double>(baseline_cycles) /
+                                static_cast<double>(prep_opt_cycles);
+    const double speedup_both = static_cast<double>(baseline_cycles) /
+                                static_cast<double>(both_cycles);
     std::printf("%7llu %14llu %14llu %14llu %10.2fx %10.2fx\n",
-                (unsigned long long)row.pages,
-                (unsigned long long)row.baseline_cycles,
-                (unsigned long long)row.prep_opt_cycles,
-                (unsigned long long)row.both_cycles, row.speedup_prep(),
-                row.speedup_both());
-    csv.row("%llu,%llu,%llu,%llu,%.3f,%.3f", (unsigned long long)row.pages,
-            (unsigned long long)row.baseline_cycles,
-            (unsigned long long)row.prep_opt_cycles,
-            (unsigned long long)row.both_cycles, row.speedup_prep(),
-            row.speedup_both());
+                (unsigned long long)pages,
+                (unsigned long long)baseline_cycles,
+                (unsigned long long)prep_opt_cycles,
+                (unsigned long long)both_cycles, speedup_prep, speedup_both);
+    csv.row("%llu,%llu,%llu,%llu,%.3f,%.3f", (unsigned long long)pages,
+            (unsigned long long)baseline_cycles,
+            (unsigned long long)prep_opt_cycles,
+            (unsigned long long)both_cycles, speedup_prep, speedup_both);
   }
 
   std::printf(

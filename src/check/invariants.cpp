@@ -186,8 +186,8 @@ void InvariantAuditor::check_workload(const WorkloadView& w,
     }
   });
 
-  // Census: the redundant per-tier residency counters the runtime keeps
-  // must match the walked truth.
+  // Census: the per-tier membership lists the runtime keeps (and
+  // TierHeatRanking ranks from) must match the walked truth.
   for (std::size_t t = 0; t < tier_count; ++t) {
     ++report.checks;
     const std::uint64_t recorded =

@@ -51,7 +51,8 @@ enum class AuditRule : std::uint8_t {
   kFrameConservation,
   /// FrameAllocator::self_check — free list vs bitmap vs used().
   kFrameAllocator,
-  /// AddressSpace::pages_in_tier / faulted_pages vs a page-table walk.
+  /// AddressSpace's per-tier member lists (pages_in_tier /
+  /// faulted_pages) vs a page-table walk.
   kCensus,
   /// The same physical frame referenced by two live mappings/shadows.
   kDuplicateFrame,

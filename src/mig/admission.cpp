@@ -33,37 +33,13 @@ void AdmissionController::set_obs(obs::Scope scope, std::string policy) {
 
 sim::Cycles AdmissionController::predict_cost(
     const AdmissionInputs& in) const {
-  // Mirror the mechanism's per-request composition (prep excluded: it is
-  // charged once per execute() batch). The shadow path skips the copy
-  // phase entirely — Nomad's transactional insight, costed as such.
-  sim::Cycles cost = 0;
-  if (in.pages <= 1) {
-    cost += cost_.unmap(1);
-    cost += cost_.shootdown_cold(in.predicted_ipis);
-    if (!in.shadow_path) {
-      cost += in.dma_copy ? cost_.params().dma_setup_cycles
-                          : cost_.copy_single();
-    }
-    cost += cost_.remap(1);
-    return cost;
-  }
-  // Whole-chunk moves batch: cold per-page shootdowns up to the kernel's
-  // flush ceiling, overlapped flushes beyond it (mechanism.hpp).
-  constexpr std::uint64_t kFlushCeiling = 33;
-  cost += cost_.unmap(in.pages);
-  const std::uint64_t cold = in.pages < kFlushCeiling ? in.pages
-                                                      : kFlushCeiling;
-  cost += cold * cost_.shootdown_cold(in.predicted_ipis);
-  if (in.pages > cold) {
-    cost += cost_.shootdown_batched(in.pages - cold, in.predicted_ipis);
-  }
-  if (!in.shadow_path) {
-    cost += in.dma_copy
-                ? in.pages * cost_.params().dma_setup_cycles
-                : cost_.copy_batched(in.pages);
-  }
-  cost += cost_.remap(in.pages);
-  return cost;
+  const CopyKind copy = in.shadow_path ? CopyKind::kNone
+                        : in.dma_copy  ? CopyKind::kDma
+                                       : CopyKind::kCpu;
+  const PhaseBreakdown move =
+      in.pages <= 1 ? page_move(cost_, in.predicted_ipis, copy)
+                    : chunk_move(cost_, in.pages, in.predicted_ipis, copy);
+  return move.total();
 }
 
 AdmissionVerdict AdmissionController::assess(const AdmissionInputs& in) {

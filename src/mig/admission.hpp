@@ -7,12 +7,12 @@
 // that never pay off. The controller sits between policy::record_decision
 // and Migrator::execute and scores every MigrationRequest:
 //
-//   predicted cost     composed from the calibrated sim::CostModel for the
-//                      path the migrator would actually take — shadow
-//                      remap (no copy) vs five-phase, single page vs whole
-//                      chunk, DMA vs CPU copy — with the shootdown term
-//                      sized from the live sharer set the migrator proves
-//                      via per-thread page tables.
+//   predicted cost     the total of the mechanism.hpp composition the
+//                      migrator charges for the path it would actually
+//                      take — page_move() or chunk_move(), shadow remap
+//                      (no copy), DMA or CPU copy — with the shootdown
+//                      term sized from the live sharer set the migrator
+//                      proves via per-thread page tables.
 //   predicted benefit  the decision's heat margin over its own admission
 //                      threshold (MigrationRequest::predicted_benefit,
 //                      positive iff the issuing policy predicts profit),
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <string>
 
+#include "mig/mechanism.hpp"
 #include "mig/migration.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
@@ -99,8 +100,9 @@ class AdmissionController {
   /// the running policy's name (every workload shares one controller).
   void set_obs(obs::Scope scope, std::string policy);
 
-  /// Predicted cycle cost of executing `in` (prep excluded — it is charged
-  /// once per execute() batch, not per request).
+  /// Predicted cycle cost of executing `in`: the total() of page_move()
+  /// (pages <= 1) or chunk_move(), exactly what the migrator charges (prep
+  /// excluded — it is charged once per execute() batch, not per request).
   sim::Cycles predict_cost(const AdmissionInputs& in) const;
 
   /// Score one request and record the verdict in the adm.* counters.

@@ -1,21 +1,24 @@
 // Migration mechanism cost composition: the five phases of §2.1's
 // mechanism description (kernel trap, PTE lock/unmap, TLB shootdown via
-// IPIs, content copy, PTE remap), with Vulcan's two mechanism-level
-// optimisations as switches:
+// IPIs, content copy, PTE remap). This header is the only code that adds
+// up a migration's phase costs: the Migrator charges page_move() and
+// chunk_move() phase by phase, the AdmissionController predicts their
+// total(), and the Fig. 2, 3 and 7 harnesses print them.
+//
+// Vulcan's two mechanism-level optimisations are switches:
 //
 //   optimized_prep       drop the cross-CPU lru_add_drain_all() broadcast
 //                        (workload-dependent migration, §3.2)
 //   targeted_shootdown   shoot only the sharer set proven by per-thread
 //                        page tables instead of every process core (§3.4)
 //
-// This class is pure cost arithmetic over the calibrated CostModel; the
-// Migrator pairs it with real page-table/TLB state updates.
+// Everything here is pure cost arithmetic over the calibrated CostModel;
+// the Migrator pairs it with real page-table/TLB state updates.
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <cstdint>
 
-#include "obs/scope.hpp"
 #include "sim/cost_model.hpp"
 
 namespace vulcan::mig {
@@ -47,27 +50,50 @@ struct PhaseBreakdown {
   }
 };
 
+/// What a move's copy phase does: a CPU copy, a DMA descriptor setup
+/// (HeMem-style offload: the engine streams the page while the CPU only
+/// queues it), or no copy (a clean demotion remapped onto its shadow).
+enum class CopyKind : std::uint8_t { kCpu, kDma, kNone };
+
+// The two compositions of a live move leave `prep` at 0: the migrator pays
+// preparation once per execute() batch, not per request.
+
+/// One base page through the cold single-page path (the Fig. 2 regime),
+/// flushing `targets` remote cores.
+inline PhaseBreakdown page_move(const sim::CostModel& cost, unsigned targets,
+                                CopyKind copy) {
+  PhaseBreakdown b;
+  b.unmap = cost.unmap(1);
+  b.shootdown = cost.shootdown_cold(targets);
+  b.copy = copy == CopyKind::kCpu   ? cost.copy_single()
+           : copy == CopyKind::kDma ? cost.params().dma_setup_cycles
+                                    : 0;
+  b.remap = cost.remap(1);
+  return b;
+}
+
+/// One 2 MB chunk's `pages` pages through the steady-state batched path
+/// (the Fig. 3 regime): amortised unmap, copy and remap, and one
+/// overlapped flush round to `targets` remote cores.
+inline PhaseBreakdown chunk_move(const sim::CostModel& cost,
+                                 std::uint64_t pages, unsigned targets,
+                                 CopyKind copy) {
+  PhaseBreakdown b;
+  b.unmap = cost.unmap_batched(pages);
+  b.shootdown = cost.shootdown_batched(pages, targets);
+  b.copy = copy == CopyKind::kCpu   ? cost.copy_batched(pages)
+           : copy == CopyKind::kDma ? pages * cost.params().dma_setup_cycles
+                                    : 0;
+  b.remap = cost.remap_batched(pages);
+  return b;
+}
+
 class MigrationMechanism {
  public:
   MigrationMechanism(const sim::CostModel& cost, MechanismOptions opts)
       : cost_(&cost), opts_(opts) {}
 
-  const MechanismOptions& options() const { return opts_; }
   const sim::CostModel& cost_model() const { return *cost_; }
-
-  /// Attach observability: every single_page()/batch() composition records
-  /// its per-phase cycles as `<scope>.<phase>_cycles` counters (plus ops /
-  /// pages totals) and emits mig_phase_begin/end trace events.
-  void set_obs(obs::Scope scope) {
-    obs_ = std::move(scope);
-    for (std::size_t p = 0; p < kPhases; ++p) {
-      phase_cycles_[p] = &obs_.counter(
-          std::string(obs::mig_phase_name(static_cast<obs::MigPhase>(p))) +
-          "_cycles");
-    }
-    ops_ = &obs_.counter("operations");
-    pages_ = &obs_.counter("pages");
-  }
 
   sim::Cycles prep_cost() const {
     return opts_.optimized_prep ? cost_->prep_optimized(opts_.online_cpus)
@@ -79,17 +105,11 @@ class MigrationMechanism {
   /// `sharer_remote_cores` is the (smaller) set per-thread tables prove.
   PhaseBreakdown single_page(unsigned process_remote_cores,
                              unsigned sharer_remote_cores) const {
-    PhaseBreakdown b;
+    PhaseBreakdown b =
+        page_move(*cost_,
+                  flush_targets(process_remote_cores, sharer_remote_cores),
+                  CopyKind::kCpu);
     b.prep = prep_cost();
-    b.unmap = cost_->unmap(1);
-    const unsigned targets = opts_.targeted_shootdown
-                                 ? std::min(sharer_remote_cores,
-                                            process_remote_cores)
-                                 : process_remote_cores;
-    b.shootdown = cost_->shootdown_cold(targets);
-    b.copy = cost_->copy_single();
-    b.remap = cost_->remap(1);
-    record(b, 1);
     return b;
   }
 
@@ -105,10 +125,8 @@ class MigrationMechanism {
     PhaseBreakdown b;
     b.prep = prep_cost();
     b.unmap = cost_->unmap(pages);
-    const unsigned targets = opts_.targeted_shootdown
-                                 ? std::min(avg_sharer_remote_cores,
-                                            process_remote_cores)
-                                 : process_remote_cores;
+    const unsigned targets =
+        flush_targets(process_remote_cores, avg_sharer_remote_cores);
     const std::uint64_t cold_pages = std::min(pages, kFlushCeiling);
     b.shootdown = cold_pages * cost_->shootdown_cold(targets);
     if (pages > cold_pages) {
@@ -116,38 +134,21 @@ class MigrationMechanism {
     }
     b.copy = cost_->copy_batched(pages);
     b.remap = cost_->remap(pages);
-    record(b, pages);
     return b;
   }
 
  private:
-  static constexpr std::size_t kPhases = 5;
-
-  /// Account one composed operation into the attached scope. Const because
-  /// cost composition is logically pure; only the external sinks mutate.
-  void record(const PhaseBreakdown& b, std::uint64_t pages) const {
-    if (!obs_.active()) return;
-    const std::array<sim::Cycles, kPhases> cycles{b.prep, b.unmap,
-                                                  b.shootdown, b.copy,
-                                                  b.remap};
-    for (std::size_t p = 0; p < kPhases; ++p) {
-      phase_cycles_[p]->inc(cycles[p]);
-      obs_.event(obs::EventKind::kMigPhaseBegin, p, pages);
-      obs_.event(obs::EventKind::kMigPhaseEnd, p, cycles[p]);
-    }
-    ops_->inc();
-    pages_->inc(pages);
+  /// Remote cores a flush reaches: the proven sharers under targeted
+  /// shootdown (never more than the process set), else every process core.
+  unsigned flush_targets(unsigned process_remote_cores,
+                         unsigned sharer_remote_cores) const {
+    return opts_.targeted_shootdown
+               ? std::min(sharer_remote_cores, process_remote_cores)
+               : process_remote_cores;
   }
 
   const sim::CostModel* cost_;
   MechanismOptions opts_;
-  obs::Scope obs_;
-  std::array<obs::Counter*, kPhases> phase_cycles_{
-      &obs::detail::dummy_counter, &obs::detail::dummy_counter,
-      &obs::detail::dummy_counter, &obs::detail::dummy_counter,
-      &obs::detail::dummy_counter};
-  obs::Counter* ops_ = &obs::detail::dummy_counter;
-  obs::Counter* pages_ = &obs::detail::dummy_counter;
 };
 
 }  // namespace vulcan::mig

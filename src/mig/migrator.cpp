@@ -254,7 +254,6 @@ std::span<const vm::CoreId> Migrator::chunk_shootdown_targets(
 bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
                              MigrationStats& stats) {
   (void)rng;
-  const sim::CostModel& cost = mechanism_.cost_model();
   const bool sync = req.mode == CopyMode::kSync;
   sim::Cycles& bucket = sync ? stats.stall_cycles : stats.daemon_cycles;
   const vm::CoreId initiator =
@@ -309,8 +308,10 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
   // Batched mechanics: one flush round for the whole chunk, amortised
   // per-page unmap/copy/remap.
   const auto targets = chunk_shootdown_targets(moved, was_huge, initiator);
-  bucket += phase(obs::MigPhase::kUnmap, moved.size(),
-                  cost.unmap_batched(moved.size()));
+  const PhaseBreakdown move =
+      chunk_move(mechanism_.cost_model(), moved.size(),
+                 static_cast<unsigned>(targets.size()), copy_kind());
+  bucket += phase(obs::MigPhase::kUnmap, moved.size(), move.unmap);
   {
     // The shootdown phase span wraps the controller call so the IPI-round
     // span it records nests inside; the controller advances the cursor.
@@ -323,12 +324,8 @@ bool Migrator::execute_chunk(const MigrationRequest& req, sim::Rng& rng,
                     /*with_span=*/false);
     stats.shootdown_ipis += targets.size();
   }
-  bucket += phase(obs::MigPhase::kCopy, moved.size(),
-                  config_.dma_copy
-                      ? moved.size() * cost.params().dma_setup_cycles
-                      : cost.copy_batched(moved.size()));
-  bucket += phase(obs::MigPhase::kRemap, moved.size(),
-                  cost.remap_batched(moved.size()));
+  bucket += phase(obs::MigPhase::kCopy, moved.size(), move.copy);
+  bucket += phase(obs::MigPhase::kRemap, moved.size(), move.remap);
   stats.bytes_copied += moved.size() * sim::kPageSize;
   stats.migrated += moved.size();
 
@@ -391,7 +388,10 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
   // back onto its slow-tier copy — no content copy at all.
   if (demotion && !dirty && config_.shadowing) {
     if (auto shadow = shadows_.consume(req.vpn)) {
-      bucket += phase(obs::MigPhase::kUnmap, 1, cost.unmap(1));
+      const PhaseBreakdown move =
+          page_move(cost, static_cast<unsigned>(targets.size()),
+                    CopyKind::kNone);
+      bucket += phase(obs::MigPhase::kUnmap, 1, move.unmap);
       {
         obs::ScopedSpan sd_span =
             obs_.span(obs::span_kind_for(obs::MigPhase::kShootdown),
@@ -405,7 +405,7 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
       const mem::Pfn old = as_->remap(req.vpn, *shadow);
       record_move(req.vpn, old, req.to, req.provenance);
       topo_->allocator(mem::tier_of(old)).free(old);
-      bucket += phase(obs::MigPhase::kRemap, 1, cost.remap(1));
+      bucket += phase(obs::MigPhase::kRemap, 1, move.remap);
       ++stats.shadow_remaps;
       ++stats.migrated;
       return true;
@@ -439,7 +439,9 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
     }
   }
 
-  bucket += phase(obs::MigPhase::kUnmap, 1, cost.unmap(1));
+  const PhaseBreakdown move =
+      page_move(cost, static_cast<unsigned>(targets.size()), copy_kind());
+  bucket += phase(obs::MigPhase::kUnmap, 1, move.unmap);
   {
     obs::ScopedSpan sd_span =
         obs_.span(obs::span_kind_for(obs::MigPhase::kShootdown),
@@ -450,15 +452,11 @@ bool Migrator::execute_one(const MigrationRequest& req, sim::Rng& rng,
                     /*with_span=*/false);
     stats.shootdown_ipis += targets.size();
   }
-  // HeMem-style DMA offload: the engine streams the page while the CPU
-  // only pays descriptor setup; otherwise the CPU performs the copy.
-  bucket += phase(obs::MigPhase::kCopy, 1,
-                  config_.dma_copy ? cost.params().dma_setup_cycles
-                                   : cost.copy_single());
+  bucket += phase(obs::MigPhase::kCopy, 1, move.copy);
   stats.bytes_copied += sim::kPageSize;
   const mem::Pfn old = as_->remap(req.vpn, *dest);
   record_move(req.vpn, old, req.to, req.provenance);
-  bucket += phase(obs::MigPhase::kRemap, 1, cost.remap(1));
+  bucket += phase(obs::MigPhase::kRemap, 1, move.remap);
   if (!req.shared) ++stats.private_migrated;
 
   const bool promotion_from_slow =

@@ -98,10 +98,6 @@ class Migrator {
   }
 
  private:
-  struct Charge {
-    sim::Cycles* bucket;  ///< &stats.stall_cycles or &stats.daemon_cycles
-  };
-
   bool execute_one(const MigrationRequest& req, sim::Rng& rng,
                    MigrationStats& stats);
   bool execute_chunk(const MigrationRequest& req, sim::Rng& rng,
@@ -152,6 +148,10 @@ class Migrator {
   /// controller's nested span).
   sim::Cycles phase(obs::MigPhase p, std::uint64_t pages, sim::Cycles cycles,
                     bool with_span = true);
+  /// How a content-moving request copies: DMA setup or a CPU copy.
+  CopyKind copy_kind() const {
+    return config_.dma_copy ? CopyKind::kDma : CopyKind::kCpu;
+  }
 
   vm::AddressSpace* as_;
   mem::Topology* topo_;

@@ -87,14 +87,6 @@ class ShadowRegistry {
     for (const auto& [vpn, pfn] : shadows_) fn(vpn, pfn);
   }
 
-  /// Live shadow frames currently held in `tier` (frame-conservation
-  /// audits: allocator occupancy = mapped pages + shadows).
-  std::uint64_t count_in_tier(mem::TierId tier) const {
-    std::uint64_t n = 0;
-    for (const auto& [vpn, pfn] : shadows_) n += mem::tier_of(pfn) == tier;
-    return n;
-  }
-
  private:
   mem::Topology* topo_;
   std::unordered_map<vm::Vpn, mem::Pfn> shadows_;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "obs/metrics.hpp"
-
 namespace vulcan::obs {
 
 namespace {
@@ -91,22 +89,6 @@ void CsvExporter::row(std::span<const Value> values) {
 
 void JsonlExporter::begin(std::span<const std::string> columns) {
   columns_.assign(columns.begin(), columns.end());
-}
-
-void write_histogram_summaries(const Registry& registry, Exporter& exporter) {
-  static const std::vector<std::string> kColumns = {
-      "key", "count", "sum", "p50", "p95", "p99"};
-  exporter.begin(kColumns);
-  registry.for_each(
-      [](const std::string&, const Counter&) {},
-      [](const std::string&, const Gauge&) {},
-      [&](const std::string& key, const Histogram& h) {
-        const Value row[] = {key,           h.count(),       h.sum(),
-                             h.quantile(0.50), h.quantile(0.95),
-                             h.quantile(0.99)};
-        exporter.row(row);
-      });
-  exporter.end();
 }
 
 void JsonlExporter::row(std::span<const Value> values) {

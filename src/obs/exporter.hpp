@@ -67,11 +67,4 @@ class JsonlExporter final : public Exporter {
 /// escaped, other control characters as lowercase \u00XX.
 void write_json_string(std::ostream& out, std::string_view s);
 
-class Registry;
-
-/// One row per histogram in the registry — key, count, sum and the
-/// deterministic p50/p95/p99 quantile summaries — through any Exporter
-/// backend (CSV or JSONL). Rows arrive in sorted key order.
-void write_histogram_summaries(const Registry& registry, Exporter& exporter);
-
 }  // namespace vulcan::obs

@@ -172,16 +172,12 @@ class ProvenanceLedger {
   std::uint64_t total_decisions() const { return next_id_ - 1; }
   std::uint64_t total_transitions() const { return next_seq_ - 1; }
   std::uint64_t dropped_decisions() const { return d_.id.empty() ? total_decisions() : d_.id.front() - 1; }
-  std::uint64_t dropped_transitions() const { return t_.seq.empty() ? total_transitions() : t_.seq.front() - 1; }
   std::size_t pending() const { return pending_; }
 
   /// i-th retained row, oldest first.
   DecisionRow decision(std::size_t i) const;
   TransitionRow transition(std::size_t i) const;
 
-  std::int32_t app_count() const {
-    return static_cast<std::int32_t>(residency_.size());
-  }
   std::size_t resident_pages(std::int32_t app) const;
 
   /// Visit (page, tier) for one app's ledger-tracked residency, in page

@@ -136,20 +136,6 @@ const char* slo_severity_name(SloSeverity s) {
   return "?";
 }
 
-const char* slo_signal_name(SloSignal s) {
-  switch (s) {
-    case SloSignal::kGauge: return "gauge";
-    case SloSignal::kCounterRate: return "counter_rate";
-    case SloSignal::kRatio: return "ratio";
-    case SloSignal::kShare: return "share";
-    case SloSignal::kHistP99: return "hist_p99";
-    case SloSignal::kAppSlowdown: return "app_slowdown";
-    case SloSignal::kWorstSlowdown: return "worst_slowdown";
-    case SloSignal::kJain: return "jain";
-  }
-  return "?";
-}
-
 std::vector<SloSpec> default_slo_pack() {
   std::vector<SloSpec> pack;
   // Per-app slowdown ceiling: the "LC victim" detector. The dilemma's

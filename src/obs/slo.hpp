@@ -46,7 +46,6 @@ enum class SloSignal : std::uint8_t {
   kWorstSlowdown, ///< max over apps of app.slowdown{app=*}
   kJain,          ///< the rolling app.fairness.jain gauge
 };
-const char* slo_signal_name(SloSignal s);
 
 enum class SloOp : std::uint8_t { kAbove, kBelow };
 

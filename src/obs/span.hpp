@@ -134,8 +134,6 @@ class SpanRecorder {
   /// in LIFO order (strict nesting); unknown ids are ignored.
   void end(SpanId id, double arg = 0.0);
 
-  std::size_t open_spans() const { return open_.size(); }
-
  private:
   struct Open {
     SpanId id = 0;

@@ -26,7 +26,6 @@ class HeatTracker {
 
   std::uint64_t pages() const { return heat_.size(); }
   double heat(std::uint64_t page) const { return heat_[page]; }
-  double read_rate(std::uint64_t page) const { return reads_[page]; }
   double write_rate(std::uint64_t page) const { return writes_[page]; }
 
   /// A page is write-intensive when writes are a substantial share of its

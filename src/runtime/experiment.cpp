@@ -9,8 +9,6 @@
 #include <string>
 
 #include "core/manager.hpp"
-#include "mig/mechanism.hpp"
-#include "obs/scope.hpp"
 #include "policy/cascade.hpp"
 #include "policy/threshold.hpp"
 #include "policy/watermark.hpp"
@@ -144,103 +142,6 @@ void run_staged(TieredSystem& sys, std::vector<StagedWorkload> stages,
 }
 
 // --------------------------------------------------------------- batteries
-
-namespace {
-
-std::uint64_t phase_cycles(const obs::Registry& reg, const char* name) {
-  return reg.counter_value(std::string("mig.mechanism.") + name + "_cycles");
-}
-
-std::uint64_t mechanism_total(const obs::Registry& reg) {
-  std::uint64_t total = 0;
-  for (const char* name : {"prep", "unmap", "shootdown", "copy", "remap"}) {
-    total += phase_cycles(reg, name);
-  }
-  return total;
-}
-
-}  // namespace
-
-MigrationBreakdownRow migration_breakdown_row(
-    unsigned cpus, const sim::CostModelParams& params) {
-  obs::Registry reg;
-  sim::Cycles clock = 0;
-  const sim::CostModel cost(params);
-  mig::MigrationMechanism mech(cost, {.online_cpus = cpus});
-  mech.set_obs(obs::Scope(&reg, nullptr, &clock, "mig.mechanism"));
-  // The migrating page may be cached by every other core (vanilla
-  // process-wide tables give no tighter bound).
-  (void)mech.single_page(cpus - 1, cpus - 1);
-  MigrationBreakdownRow row;
-  row.cpus = cpus;
-  row.prep = phase_cycles(reg, "prep");
-  row.unmap = phase_cycles(reg, "unmap");
-  row.shootdown = phase_cycles(reg, "shootdown");
-  row.copy = phase_cycles(reg, "copy");
-  row.remap = phase_cycles(reg, "remap");
-  return row;
-}
-
-std::vector<MigrationBreakdownRow> migration_breakdown_battery(
-    std::span<const unsigned> cpus_list, unsigned jobs,
-    exec::BatchStats* stats) {
-  exec::BatchRunner runner(jobs);
-  std::vector<std::function<MigrationBreakdownRow()>> batch;
-  batch.reserve(cpus_list.size());
-  for (const unsigned cpus : cpus_list) {
-    batch.push_back([cpus] { return migration_breakdown_row(cpus); });
-  }
-  auto rows = exec::values_or_throw(runner.run(std::move(batch)),
-                                    "fig2 migration-breakdown battery");
-  if (stats) *stats = runner.stats();
-  return rows;
-}
-
-MechanismSpeedupRow mechanism_speedup_row(std::uint64_t pages,
-                                          const sim::CostModelParams& params) {
-  // The microbench setting: 32 CPUs online, the migrating process runs 8
-  // threads, and per-thread page tables prove ~1 sharer for most pages.
-  constexpr unsigned kProcessRemote = 7;
-  constexpr unsigned kSharerRemote = 1;
-  obs::Registry reg_base, reg_prep, reg_both;
-  sim::Cycles clock = 0;
-  const sim::CostModel cost(params);
-  mig::MigrationMechanism baseline(cost, {.online_cpus = 32});
-  mig::MigrationMechanism prep_opt(cost,
-                                   {.optimized_prep = true, .online_cpus = 32});
-  mig::MigrationMechanism both(
-      cost,
-      {.optimized_prep = true, .targeted_shootdown = true, .online_cpus = 32});
-  baseline.set_obs(obs::Scope(&reg_base, nullptr, &clock, "mig.mechanism"));
-  prep_opt.set_obs(obs::Scope(&reg_prep, nullptr, &clock, "mig.mechanism"));
-  both.set_obs(obs::Scope(&reg_both, nullptr, &clock, "mig.mechanism"));
-
-  (void)baseline.batch(pages, kProcessRemote, kSharerRemote);
-  (void)prep_opt.batch(pages, kProcessRemote, kSharerRemote);
-  (void)both.batch(pages, kProcessRemote, kSharerRemote);
-
-  MechanismSpeedupRow row;
-  row.pages = pages;
-  row.baseline_cycles = mechanism_total(reg_base);
-  row.prep_opt_cycles = mechanism_total(reg_prep);
-  row.both_cycles = mechanism_total(reg_both);
-  return row;
-}
-
-std::vector<MechanismSpeedupRow> mechanism_speedup_battery(
-    std::span<const std::uint64_t> pages_list, unsigned jobs,
-    exec::BatchStats* stats) {
-  exec::BatchRunner runner(jobs);
-  std::vector<std::function<MechanismSpeedupRow()>> batch;
-  batch.reserve(pages_list.size());
-  for (const std::uint64_t pages : pages_list) {
-    batch.push_back([pages] { return mechanism_speedup_row(pages); });
-  }
-  auto rows = exec::values_or_throw(runner.run(std::move(batch)),
-                                    "fig7 mechanism-speedup battery");
-  if (stats) *stats = runner.stats();
-  return rows;
-}
 
 std::unique_ptr<TieredSystem> build_scenario(
     const ScenarioSpec& spec, std::string_view policy,

@@ -19,7 +19,6 @@
 #include "obs/diff.hpp"
 #include "runtime/builder.hpp"
 #include "runtime/system.hpp"
-#include "sim/cost_model.hpp"
 
 namespace vulcan::runtime {
 
@@ -61,63 +60,13 @@ void run_staged(TieredSystem& sys, std::vector<StagedWorkload> stages,
 
 // --------------------------------------------------------------- batteries
 //
-// A battery is a set of independent deterministic runs. Each row/job below
-// builds its own registry (and, for full-system runs, its own system via
-// build_scenario: trace ring, RNG and all), executes on an
-// exec::BatchRunner, and merges in submission order — so battery output is
-// byte-identical for any `jobs` count, including 1. Pass `jobs` = 0 for
-// hardware concurrency (capped by the row count); pass `stats` to receive
-// the real-time accounting (never part of the deterministic results).
-
-/// One Fig. 2 row: the five-phase cost breakdown of a single base-page
-/// (4 KB) migration with `cpus` online CPUs, read back from the
-/// mig.mechanism.* counters of a fresh obs::Registry.
-struct MigrationBreakdownRow {
-  unsigned cpus = 0;
-  std::uint64_t prep = 0, unmap = 0, shootdown = 0, copy = 0, remap = 0;
-
-  std::uint64_t total() const { return prep + unmap + shootdown + copy + remap; }
-  double prep_share() const {
-    const std::uint64_t t = total();
-    return t ? static_cast<double>(prep) / static_cast<double>(t) : 0.0;
-  }
-  bool operator==(const MigrationBreakdownRow&) const = default;
-};
-
-MigrationBreakdownRow migration_breakdown_row(
-    unsigned cpus, const sim::CostModelParams& params = {});
-
-std::vector<MigrationBreakdownRow> migration_breakdown_battery(
-    std::span<const unsigned> cpus_list, unsigned jobs = 1,
-    exec::BatchStats* stats = nullptr);
-
-/// One Fig. 7 row: total migration cycles for a `pages`-page batch under
-/// the baseline mechanism, optimised preparation alone, and preparation +
-/// targeted shootdowns (the paper's microbench setting: 32 CPUs online,
-/// 8-thread process, per-thread tables proving ~1 sharer).
-struct MechanismSpeedupRow {
-  std::uint64_t pages = 0;
-  std::uint64_t baseline_cycles = 0, prep_opt_cycles = 0, both_cycles = 0;
-
-  double speedup_prep() const {
-    return prep_opt_cycles ? static_cast<double>(baseline_cycles) /
-                                 static_cast<double>(prep_opt_cycles)
-                           : 0.0;
-  }
-  double speedup_both() const {
-    return both_cycles ? static_cast<double>(baseline_cycles) /
-                             static_cast<double>(both_cycles)
-                       : 0.0;
-  }
-  bool operator==(const MechanismSpeedupRow&) const = default;
-};
-
-MechanismSpeedupRow mechanism_speedup_row(
-    std::uint64_t pages, const sim::CostModelParams& params = {});
-
-std::vector<MechanismSpeedupRow> mechanism_speedup_battery(
-    std::span<const std::uint64_t> pages_list, unsigned jobs = 1,
-    exec::BatchStats* stats = nullptr);
+// A battery is a set of independent deterministic runs. Each job builds
+// its own system via build_scenario (registry, trace ring, RNG and all),
+// executes on an exec::BatchRunner, and merges in submission order — so
+// battery output is byte-identical for any `jobs` count, including 1. Pass
+// `jobs` = 0 for hardware concurrency (capped by the job count); pass
+// `stats` to receive the real-time accounting (never part of the
+// deterministic results).
 
 /// A re-runnable full-system scenario: the one scenario type the policy
 /// battery, the what-if engine, the fuzzer and `vulcan_sim` all run.

@@ -196,8 +196,6 @@ class TieredSystem {
   const obs::Registry& obs_registry() const { return registry_; }
   /// The structured event trace (epoch/migration/shootdown/policy records).
   const obs::TraceRing& obs_trace() const { return trace_; }
-  /// The shared span recorder (inert when Config::record_spans is false).
-  const obs::SpanRecorder& obs_spans() const { return spans_; }
   /// Per-app fairness attribution rolled up from epochs and closing spans.
   const obs::AppStats& app_stats() const { return app_stats_; }
   /// The windowed time-series store (inert when Config::telemetry is off).

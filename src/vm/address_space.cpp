@@ -1,6 +1,5 @@
 #include "vm/address_space.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -10,7 +9,6 @@ AddressSpace::AddressSpace(Config config, mem::Topology& topo)
     : config_(config),
       topo_(&topo),
       tables_(config.replicate_tables),
-      tier_pages_(topo.tier_count(), 0),
       tier_members_(topo.tier_count()),
       member_slot_(config.rss_pages, 0) {
   assert(config_.base % sim::kHugePageSize == 0 &&
@@ -50,9 +48,7 @@ Pte AddressSpace::fault_one(Vpn vpn, ThreadId thread, bool write,
                 .with(Pte::kAccessed)
                 .with(Pte::kDirty, write);
   tables_.map(vpn, pte);
-  ++tier_pages_[mem::tier_of(*pfn)];
   track_residency(vpn - base_vpn(), -1, mem::tier_of(*pfn));
-  ++faulted_;
   return pte;
 }
 
@@ -123,8 +119,6 @@ mem::Pfn AddressSpace::remap(Vpn vpn, mem::Pfn new_pfn) {
   assert(pte.present() && "remap of unmapped page");
   const mem::Pfn old_pfn = pte.pfn();
   tables_.set(vpn, pte.with_pfn(new_pfn).with(Pte::kDirty, false));
-  --tier_pages_[mem::tier_of(old_pfn)];
-  ++tier_pages_[mem::tier_of(new_pfn)];
   track_residency(vpn - base_vpn(),
                   static_cast<std::int32_t>(mem::tier_of(old_pfn)),
                   mem::tier_of(new_pfn));
@@ -174,7 +168,7 @@ std::uint64_t AddressSpace::release_all() {
   // Collect the live mappings first: unmap mutates the radix tree while
   // visit walks it.
   std::vector<std::pair<Vpn, mem::Pfn>> live;
-  live.reserve(static_cast<std::size_t>(faulted_));
+  live.reserve(static_cast<std::size_t>(faulted_pages()));
   tables_.process_table().visit([&](Vpn vpn, Pte pte) {
     live.emplace_back(vpn, pte.pfn());
   });
@@ -184,8 +178,6 @@ std::uint64_t AddressSpace::release_all() {
   }
   chunks_.assign(chunks_.size(), ChunkState::kUnfaulted);
   for (auto& members : tier_members_) members.clear();
-  std::fill(tier_pages_.begin(), tier_pages_.end(), 0);
-  faulted_ = 0;
   return static_cast<std::uint64_t>(live.size());
 }
 

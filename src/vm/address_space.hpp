@@ -68,7 +68,7 @@ class AddressSpace {
 
   /// Swap the backing frame (migration remap). Clears dirty, preserves
   /// ownership and other software bits. Returns the old PFN; the caller
-  /// owns its disposal (free or shadow). Updates tier page counts.
+  /// owns its disposal (free or shadow). Updates tier membership.
   mem::Pfn remap(Vpn vpn, mem::Pfn new_pfn);
 
   /// Clear the dirty bit (async copy engines re-arm write detection).
@@ -104,9 +104,14 @@ class AddressSpace {
 
   /// Pages of this space currently resident in `tier`.
   std::uint64_t pages_in_tier(mem::TierId tier) const {
-    return tier < tier_pages_.size() ? tier_pages_[tier] : 0;
+    return pages_in_tier_list(tier).size();
   }
-  std::uint64_t faulted_pages() const { return faulted_; }
+  /// Pages of this space currently mapped, in any tier.
+  std::uint64_t faulted_pages() const {
+    std::uint64_t pages = 0;
+    for (const auto& members : tier_members_) pages += members.size();
+    return pages;
+  }
 
   /// The 0-based page offsets currently resident in `tier`, maintained
   /// incrementally on fault and remap. UNORDERED (swap-remove keeps the
@@ -136,13 +141,12 @@ class AddressSpace {
   mem::Topology* topo_;
   ReplicatedPageTable tables_;
   std::vector<ChunkState> chunks_;
-  std::vector<std::uint64_t> tier_pages_;
   /// Per-tier resident page offsets + each page's slot in its tier list
   /// (see pages_in_tier_list); slot values are meaningful only while the
-  /// page is mapped.
+  /// page is mapped. The one residency record: the page counts derive
+  /// from it.
   std::vector<std::vector<std::uint32_t>> tier_members_;
   std::vector<std::uint32_t> member_slot_;
-  std::uint64_t faulted_ = 0;
 };
 
 }  // namespace vulcan::vm

@@ -146,10 +146,6 @@ void Mmu::invalidate_process(ProcessId pid) {
   }
 }
 
-void Mmu::flush_pwc() {
-  for (auto& slot : pwc_) slot = PwcSlot{};
-}
-
 void Mmu::for_each_pwc_entry(
     const std::function<void(const PwcEntryView&)>& fn) const {
   for (const PwcSlot& slot : pwc_) {

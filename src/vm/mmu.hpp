@@ -123,9 +123,6 @@ class Mmu {
   /// for a released address space survives anywhere in the hierarchy.
   void invalidate_process(ProcessId pid);
 
-  /// Drop every PWC entry.
-  void flush_pwc();
-
   bool pwc_enabled() const { return config_.pwc_enabled; }
   const PwcStats& pwc_stats() const { return pwc_stats_; }
 

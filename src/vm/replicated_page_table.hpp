@@ -53,9 +53,6 @@ class ReplicatedPageTable {
     return static_cast<unsigned>(thread_trees_.size());
   }
   ReplicationMode mode() const { return mode_; }
-  bool replication_enabled() const {
-    return mode_ != ReplicationMode::kProcessWide;
-  }
 
   /// Map a page: writes the PTE through the shared leaf, creating it (and
   /// attaching it to every tree) on demand.

@@ -108,13 +108,6 @@ void Tlb::invalidate_pid(ProcessId pid) {
   sweep(huge_);
 }
 
-std::size_t Tlb::live_entries() const {
-  std::size_t live = 0;
-  for (const Entry& e : base_.entries) live += e.tag != 0;
-  for (const Entry& e : huge_.entries) live += e.tag != 0;
-  return live;
-}
-
 void Tlb::flush_all() {
   base_.clear();
   huge_.clear();

@@ -82,9 +82,6 @@ class Tlb {
     scan(huge_, /*huge=*/true);
   }
 
-  /// Live entries across both arrays.
-  std::size_t live_entries() const;
-
   /// Attach observability. Per-core TLBs typically share one scope, so the
   /// registry aggregates hits/misses/invalidations across the socket.
   void set_obs(const obs::Scope& scope) {

@@ -20,7 +20,6 @@ using ThreadId = std::uint8_t;
 using CoreId = std::uint16_t;
 
 constexpr Vpn vpn_of(VirtAddr va) { return va >> 12; }
-constexpr VirtAddr addr_of(Vpn vpn) { return vpn << 12; }
 
 /// Huge-page chunk index of a base-page vpn (512 base pages per 2 MB chunk).
 constexpr std::uint64_t huge_chunk_of(Vpn vpn) {

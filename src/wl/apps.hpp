@@ -77,8 +77,6 @@ class MicrobenchWorkload final : public Workload {
   WorkloadAccess next_access(unsigned thread) override;
   void on_epoch(double sim_seconds) override;
 
-  std::uint64_t wss_offset() const { return offset_; }
-
  private:
   std::uint64_t wss_pages_;
   double drift_rate_;

@@ -41,28 +41,6 @@ TEST(ParallelEquivalenceTest, WhatIfGridSerialVsParallelBytes) {
   EXPECT_EQ(parallel.grid_stats().jobs, 2u);
 }
 
-TEST(ParallelEquivalenceTest, MigrationBreakdownBatteryRowsEqual) {
-  const std::vector<unsigned> cpus = {2, 8, 32};
-  exec::BatchStats stats;
-  const auto serial = runtime::migration_breakdown_battery(cpus, 1);
-  const auto parallel = runtime::migration_breakdown_battery(cpus, 3, &stats);
-  ASSERT_EQ(serial.size(), cpus.size());
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(stats.workers, 3u);
-  // Sanity: rows carry real data in submission order.
-  EXPECT_EQ(serial[0].cpus, 2u);
-  EXPECT_GT(serial[2].total(), serial[0].total());
-}
-
-TEST(ParallelEquivalenceTest, MechanismSpeedupBatteryRowsEqual) {
-  const std::vector<std::uint64_t> pages = {2, 16, 128};
-  const auto serial = runtime::mechanism_speedup_battery(pages, 1);
-  const auto parallel = runtime::mechanism_speedup_battery(pages, 3);
-  ASSERT_EQ(serial.size(), pages.size());
-  EXPECT_EQ(serial, parallel);
-  EXPECT_GT(serial[0].speedup_both(), 1.0);
-}
-
 TEST(ParallelEquivalenceTest, PolicyBatterySerialVsParallelSnapshots) {
   runtime::ScenarioSpec spec;
   spec.name = "dilemma";

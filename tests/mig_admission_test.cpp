@@ -67,12 +67,12 @@ TEST_F(AdmissionTest, PredictCostChunkBatchesShootdownsAndCopies) {
   auto c = make();
   auto in = promotion_inputs(1.0);
   in.pages = 512;
-  // Cold per-page shootdowns up to the kernel flush ceiling (33), then
-  // the overlapped batched flush for the remainder (mechanism.hpp).
-  const sim::Cycles expected = cost_.unmap(512) +
-                               33 * cost_.shootdown_cold(2) +
-                               cost_.shootdown_batched(512 - 33, 2) +
-                               cost_.copy_batched(512) + cost_.remap(512);
+  // The steady-state batched path the migrator charges for a whole chunk
+  // (mechanism.hpp chunk_move): amortised unmap/copy/remap and one
+  // overlapped flush round.
+  const sim::Cycles expected =
+      cost_.unmap_batched(512) + cost_.shootdown_batched(512, 2) +
+      cost_.copy_batched(512) + cost_.remap_batched(512);
   EXPECT_EQ(c.predict_cost(in), expected);
   EXPECT_LT(c.predict_cost(in), 512 * c.predict_cost(promotion_inputs(1.0)))
       << "whole-chunk moves must be cheaper than 512 singles";

@@ -94,6 +94,20 @@ TEST_F(ChunkMigrationTest, BatchedCostsCheaperThanPerPage) {
       << "one batched flush + amortised copies beat 512 cold migrations";
 }
 
+TEST_F(ChunkMigrationTest, AdmissionPredictsWhatTheChunkMoveCharges) {
+  // An async whole-chunk promotion from daemon core 0 flushes both
+  // process cores {1, 2}.
+  auto m = make_migrator();
+  const auto req = chunk_req(0);
+  const auto stats = m.execute({&req, 1}, rng_);
+  ASSERT_EQ(stats.migrated, 512u);
+  ASSERT_EQ(stats.shootdown_ipis, 2u);
+  const AdmissionController admission({}, cost_.params());
+  EXPECT_EQ(stats.daemon_cycles - m.mechanism().prep_cost(),
+            admission.predict_cost(
+                {.promotion = true, .pages = 512, .predicted_ipis = 2}));
+}
+
 TEST_F(ChunkMigrationTest, PartialMoveSplitsInsteadOfLying) {
   // Leave only 100 free fast frames: the chunk cannot fully move.
   std::vector<mem::Pfn> hold;

@@ -263,6 +263,19 @@ TEST_F(MigratorTest, PrepPaidOncePerBatchPerContext) {
   EXPECT_EQ(stats.daemon_cycles, 0u);
 }
 
+TEST_F(MigratorTest, AdmissionPredictsWhatAPageMoveCharges) {
+  // A sync promotion from core 1 (the owner's core) flushes core 2.
+  auto m = make_migrator();
+  const auto req = promote(20);
+  const auto stats = m.execute({&req, 1}, rng_);
+  ASSERT_EQ(stats.migrated, 1u);
+  ASSERT_EQ(stats.shootdown_ipis, 1u);
+  const AdmissionController admission({}, cost_.params());
+  EXPECT_EQ(stats.stall_cycles - m.mechanism().prep_cost(),
+            admission.predict_cost(
+                {.promotion = true, .pages = 1, .predicted_ipis = 1}));
+}
+
 TEST_F(MigratorTest, MigrationThreadRespectsBudget) {
   auto m = make_migrator();
   MigrationThread mt(m);

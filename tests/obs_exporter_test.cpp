@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace vulcan::obs {
 namespace {
 
@@ -70,25 +68,6 @@ TEST(CsvExporter, NegativeAndFloatFormattingMatchesStreams) {
   const std::string got =
       render_csv({"i", "d"}, {Value{std::int64_t{-42}}, Value{0.125}});
   EXPECT_EQ(got, "i,d\n" + reference.str());
-}
-
-TEST(HistogramSummaries, EmitsQuantileColumnsPerHistogram) {
-  Registry reg;
-  const std::vector<double> bounds{1.0, 2.0, 4.0};
-  Histogram& h = reg.histogram("app.slowdown_hist{app=0}", bounds);
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(3.0);
-  reg.histogram("zz.other", bounds).observe(1.0);
-
-  std::ostringstream out;
-  CsvExporter csv(out);
-  write_histogram_summaries(reg, csv);
-  const std::string got = out.str();
-  EXPECT_NE(got.find("key,count,sum,p50,p95,p99"), std::string::npos);
-  EXPECT_NE(got.find("app.slowdown_hist{app=0}"), std::string::npos);
-  // Sorted key order: the app histogram row precedes zz.other.
-  EXPECT_LT(got.find("app.slowdown_hist{app=0}"), got.find("zz.other"));
 }
 
 TEST(JsonlExporter, EscapesQuotesBackslashesAndWhitespace) {
