@@ -29,23 +29,22 @@ class StaticSlicePolicy final : public policy::SystemPolicy {
       view.fast_quota = slice;
       const std::uint64_t in_fast = view.as->pages_in_tier(mem::kFastTier);
       if (in_fast > slice) {
-        policy::TierHeatRanking coldest(view, mem::kFastTier,
-                                        /*hottest_first=*/false);
-        for (std::uint64_t excess = in_fast - slice;
-             excess > 0 && coldest.more(); --excess) {
+        // The excess coldest fast pages, whatever their heat.
+        auto coldest = policy::TierHeatRanking::coldest(
+            view, mem::kFastTier, policy::TierHeatRanking::kAnyHeat,
+            in_fast - slice);
+        while (coldest.more()) {
           view.migration->enqueue_urgent(policy::make_request(
               view, coldest.next(), mem::kSlowTier, mig::CopyMode::kAsync));
         }
         continue;
       }
-      policy::TierHeatRanking hottest(view, mem::kSlowTier,
-                                      /*hottest_first=*/true);
-      for (std::uint64_t headroom = slice - in_fast;
-           headroom > 0 && hottest.more(); --headroom) {
-        const std::uint64_t page = hottest.next();
-        if (view.tracker->heat(page) < 1.0) break;
+      // The hottest slow pages with heat >= 1, as many as the slice holds.
+      auto hottest = policy::TierHeatRanking::hottest(
+          view, mem::kSlowTier, /*min_heat=*/1.0, slice - in_fast);
+      while (hottest.more()) {
         view.migration->enqueue(policy::make_request(
-            view, page, mem::kFastTier, mig::CopyMode::kAsync));
+            view, hottest.next(), mem::kFastTier, mig::CopyMode::kAsync));
       }
     }
   }

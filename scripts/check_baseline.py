@@ -25,12 +25,21 @@ the hotpath baseline's `telemetry_overhead_budget` (default 5%, plus 5 ms
 of absolute slack so millisecond-scale runs don't flake on scheduler
 noise); fairness artefacts must be identical with telemetry on and off.
 
+`digests` reads the text a run printed (a `vulcan_check_fuzz` campaign,
+`perfbench/run.py` output, or both) and compares every digest in it with
+its pin in digests.json: a fuzz seed's `digest=` line and a perfbench
+workload's `digest <workload> all` line. Digests are exact, so any
+difference fails, as does a printed digest without a pin or a pin missing
+from a section the log covers.
+
 Usage:
     python3 scripts/check_baseline.py {hotpath,fleet,whatif} <fresh.json> <baseline.json>
     python3 scripts/check_baseline.py telemetry <bench.json> <hotpath-baseline.json>
+    python3 scripts/check_baseline.py digests <run.log> <digests.json>
 """
 
 import json
+import re
 import sys
 
 REL_TOL = 0.005  # 0.5 %
@@ -154,18 +163,61 @@ def check_telemetry(bench, base):
           "fairness artefacts identical")
 
 
+def printed_digests(log):
+    """{("fuzz", seed) or ("perfbench", workload, seed): hex} from a log."""
+    found = {}
+    fuzz_seed = perf_seed = None
+    for line in log.splitlines():
+        if m := re.match(r"campaign: seed=(\d+) ", line):
+            fuzz_seed = m.group(1)
+        elif m := re.match(r"scenarios=\d+ .*digest=([0-9a-f]+)$", line):
+            found[("fuzz", fuzz_seed)] = m.group(1)
+        elif line.startswith("run {"):
+            perf_seed = json.loads(line[4:])["seed"]
+        elif m := re.match(r"digest (\S+) all ([0-9a-f]+)$", line):
+            found[("perfbench", m.group(1), perf_seed)] = m.group(2)
+    return found
+
+
+def check_digests(log, pins):
+    want = {("fuzz", seed): hex_
+            for seed, hex_ in pins["fuzz"]["seeds"].items()}
+    want.update({("perfbench", workload, pins["perfbench"]["seed"]): hex_
+                 for workload, hex_ in pins["perfbench"]["workloads"].items()})
+    got = printed_digests(log)
+    if not got:
+        fail("digests", "the log prints no digest")
+    covered = {key[0] for key in got}
+    problems = []
+    for key in sorted(set(want) | set(got), key=str):
+        if key[0] not in covered:
+            continue
+        if key not in got:
+            problems.append(f"  {key}: pinned {want[key]}, not printed")
+        elif key not in want:
+            problems.append(f"  {key}: printed {got[key]}, no pin")
+        elif got[key] != want[key]:
+            problems.append(f"  {key}: pinned {want[key]}, got {got[key]}")
+    if problems:
+        fail("digests", "digests differ from their pins:\n" +
+             "\n".join(problems))
+    print(f"digests ok: {len(got)} match their pins")
+
+
 def main():
-    kinds = (*BASELINES, "telemetry")
+    kinds = (*BASELINES, "telemetry", "digests")
     if len(sys.argv) != 4 or sys.argv[1] not in kinds:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     kind = sys.argv[1]
     with open(sys.argv[2]) as f:
-        fresh = json.load(f)
+        fresh = f.read() if kind == "digests" else json.load(f)
     with open(sys.argv[3]) as f:
         base = json.load(f)
     if kind == "telemetry":
         check_telemetry(fresh, base)
+    elif kind == "digests":
+        check_digests(fresh, base)
     else:
         check(kind, fresh, base)
 

@@ -57,22 +57,18 @@ void VulcanManager::plan_workload(policy::WorkloadView& view,
   // Over quota: shed the coldest fast pages (shadow remaps make clean ones
   // nearly free). Urgent — the freed frames fund other workloads' quotas.
   if (in_fast > quota) {
-    std::uint64_t excess = in_fast - quota;
-    std::uint64_t shed = 0;
-    policy::TierHeatRanking fast_cold(view, mem::kFastTier,
-                                      /*hottest_first=*/false);
-    while (fast_cold.more()) {
-      const std::uint64_t page = fast_cold.next();
-      if (excess == 0) break;
+    auto fast_cold = policy::TierHeatRanking::coldest(
+        view, mem::kFastTier, policy::TierHeatRanking::kAnyHeat,
+        in_fast - quota);
+    for (std::uint64_t shed = 0; fast_cold.more(); ++shed) {
       // Measured against the promotion cut so the recorded benefit is
       // positive for genuinely cold pages (sign convention: positive iff
       // profitable, both directions).
       view.migration->enqueue_urgent(policy::make_request(
-          view, page, mem::kSlowTier, mig::CopyMode::kAsync,
-          {.rank = shed++,
+          view, fast_cold.next(), mem::kSlowTier, mig::CopyMode::kAsync,
+          {.rank = shed,
            .threshold = params_.promote_min_heat,
            .queue_bias = -1.0}));
-      --excess;
     }
     return;  // promotions wait until the quota is respected
   }
@@ -83,12 +79,13 @@ void VulcanManager::plan_workload(policy::WorkloadView& view,
   // quota is full instead of freezing.
   std::uint64_t headroom = quota - in_fast;
 
-  // Hottest-first slow-tier ranking, materialized lazily: the chunk
-  // pre-scan, promotion loop and exchange phase all stop at a heat
-  // threshold or an issue cap, so only the consumed prefix is ever pulled
-  // from the heap — the full slow tier is never sorted.
-  policy::TierHeatRanking slow_ranking(view, mem::kSlowTier,
-                                       /*hottest_first=*/true);
+  // Hottest-first slow-tier ranking of the pages at or above the
+  // promotion cut, materialized lazily: the chunk pre-scan, promotion loop
+  // and exchange phase all stop at that cut or at an issue cap, so only
+  // the consumed prefix is ever ordered. Duplicate pushes into the biased
+  // queues make the pop count open-ended, so the cut is the only bound.
+  auto slow_ranking = policy::TierHeatRanking::hottest(
+      view, mem::kSlowTier, params_.promote_min_heat);
   std::vector<std::uint64_t> slow_hot;
   const auto slow_have = [&](std::size_t i) -> bool {
     while (slow_hot.size() <= i && slow_ranking.more()) {
@@ -112,7 +109,6 @@ void VulcanManager::plan_workload(policy::WorkloadView& view,
   if (params_.enable_chunk_promotion) {
     std::unordered_map<std::uint64_t, unsigned> hot_per_chunk;
     for (std::size_t i = next_hot; slow_have(i); ++i) {
-      if (view.tracker->heat(slow_hot[i]) < params_.promote_min_heat) break;
       ++hot_per_chunk[slow_hot[i] / sim::kPagesPerHuge];
     }
     const auto need = static_cast<unsigned>(params_.chunk_promotion_density *
@@ -138,7 +134,6 @@ void VulcanManager::plan_workload(policy::WorkloadView& view,
   const std::uint64_t push_cap = std::max<std::uint64_t>(headroom * 4, 512);
   for (; slow_have(next_hot); ++next_hot) {
     const std::uint64_t page = slow_hot[next_hot];
-    if (view.tracker->heat(page) < params_.promote_min_heat) break;
     if (pushed >= push_cap || pushed >= headroom) break;
     if (params_.enable_chunk_promotion &&
         chunk_promoted.contains(page / sim::kPagesPerHuge)) {
@@ -169,17 +164,16 @@ void VulcanManager::plan_workload(policy::WorkloadView& view,
   }
 
   // Exchange phase: swap hot-slow against cold-fast while worthwhile.
-  policy::TierHeatRanking fast_cold(view, mem::kFastTier,
-                                    /*hottest_first=*/false);
+  // Every pair takes one cold page, so at most exchange_cap are ranked.
   const std::uint64_t exchange_cap =
       std::max<std::uint64_t>(64, quota / 8);
+  auto fast_cold = policy::TierHeatRanking::coldest(
+      view, mem::kFastTier, policy::TierHeatRanking::kAnyHeat, exchange_cap);
   std::uint64_t exchanged = 0;
   for (; slow_have(next_hot) && fast_cold.more(); ++next_hot) {
-    if (exchanged >= exchange_cap) break;
     const std::uint64_t hot = slow_hot[next_hot];
     const std::uint64_t cold = fast_cold.next();
     const double hot_heat = view.tracker->heat(hot);
-    if (hot_heat < params_.promote_min_heat) break;
     const double cold_heat = std::max(view.tracker->heat(cold), 1e-9);
     if (hot_heat <= params_.exchange_hysteresis * cold_heat) {
       break;  // remaining swaps would churn pages of comparable heat

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "obs/provenance.hpp"
+#include "sim/radix_sort.hpp"
 
 namespace vulcan::policy {
 
@@ -62,32 +62,52 @@ mig::MigrationRequest make_request(const WorkloadView& view,
 }
 
 TierHeatRanking::TierHeatRanking(const WorkloadView& view, mem::TierId tier,
-                                 bool hottest_first) {
+                                 bool hottest_first, double bound,
+                                 std::uint64_t limit) {
   // Heat values are non-negative floats, so the IEEE bit pattern orders
   // exactly like the value. Packing (heat bits, page) into one u64 key —
-  // bits inverted for hottest-first — means ascending pops on plain
-  // integers reproduce the old comparator's (heat, page-id tiebreak)
-  // order without re-reading the tracker O(n log n) times. The page id in
-  // the low bits makes every key unique, so the (unordered) incremental
-  // residency list ranks the same way the old radix-walk sort did.
+  // bits inverted for hottest-first — means ascending keys on plain
+  // integers reproduce the (heat, page-id tiebreak) ranking without
+  // re-reading the tracker O(n log n) times. The page id in the low bits
+  // makes every key unique, so the (unordered) incremental residency list
+  // ranks the same way whatever its order. The tracker stores floats, so
+  // the bound test on the double reading is monotone in the key: the
+  // pages that pass are a prefix of the unbounded ranking.
   const std::span<const std::uint32_t> members =
       view.as->pages_in_tier_list(tier);
   keys_.reserve(members.size());
   const auto& tracker = *view.tracker;
   for (const std::uint32_t page : members) {
-    std::uint32_t heat_bits = std::bit_cast<std::uint32_t>(
-        static_cast<float>(tracker.heat(page)));
+    const double heat = tracker.heat(page);
+    if (hottest_first ? heat < bound : heat >= bound) continue;
+    std::uint32_t heat_bits =
+        std::bit_cast<std::uint32_t>(static_cast<float>(heat));
     if (hottest_first) heat_bits = ~heat_bits;
     keys_.push_back((static_cast<std::uint64_t>(heat_bits) << 32) | page);
   }
-  std::make_heap(keys_.begin(), keys_.end(), std::greater<std::uint64_t>{});
+  if (keys_.size() > limit) {
+    std::nth_element(keys_.begin(),
+                     keys_.begin() + static_cast<std::ptrdiff_t>(limit),
+                     keys_.end());
+    keys_.resize(limit);
+  }
 }
 
 std::uint64_t TierHeatRanking::next() {
-  std::pop_heap(keys_.begin(), keys_.end(), std::greater<std::uint64_t>{});
-  const std::uint64_t key = keys_.back();
-  keys_.pop_back();
-  return key & 0xFFFFFFFFull;
+  if (next_ == ordered_) {
+    // Select the next window of smallest keys, then sort just that window.
+    const std::size_t end = std::min(keys_.size(), ordered_ + window_);
+    std::uint64_t* const first = keys_.data() + ordered_;
+    std::uint64_t* const last = keys_.data() + end;
+    if (end < keys_.size()) {
+      std::nth_element(first, last - 1, keys_.data() + keys_.size());
+    }
+    scratch_.resize(end - ordered_);
+    sim::radix_sort(first, scratch_.data(), end - ordered_);
+    ordered_ = end;
+    window_ *= 4;
+  }
+  return keys_[next_++] & 0xFFFFFFFFull;
 }
 
 }  // namespace vulcan::policy

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -120,25 +121,54 @@ mig::MigrationRequest make_request(const WorkloadView& view,
                                    mig::CopyMode mode,
                                    const DecisionContext& ctx);
 
-/// Lazy heat ranking of `view`'s pages resident in `tier`, coldest first
-/// (or hottest first). Pops arrive in exactly the order the eager sorted
-/// vector used to produce, but ranking is heap-based: a caller that stops
-/// after its per-epoch move budget pays O(m + k log m) instead of the full
-/// O(m log m) sort — policies typically consume a few hundred entries out
-/// of a hundred thousand resident pages.
+/// Heat ranking of `view`'s pages resident in `tier`, hottest or coldest
+/// first, cut to the prefix the caller's loop consumes. The caller passes
+/// its own stop rule: a heat bound (hottest-first rankings keep pages with
+/// heat >= bound, coldest-first ones pages with heat < bound, compared on
+/// the same `double` the caller reads from the tracker) and a pop limit.
+/// Only the pages that pass are collected; the `limit` first of them are
+/// selected with `nth_element` and yielded in order from windows that
+/// grow x4 (each selected with `nth_element`, then radix-sorted), so a
+/// planner pays O(m) for the scan plus the order of what it consumes, not
+/// an O(m log m) sort of a whole tier. Every packed (heat, page) key is
+/// unique, so the pops are exactly the prefix an unbounded ranking gives.
 class TierHeatRanking {
  public:
-  TierHeatRanking(const WorkloadView& view, mem::TierId tier,
-                  bool hottest_first);
+  static constexpr std::uint64_t kNoLimit = UINT64_MAX;
+  /// A coldest-first bound that keeps every page.
+  static constexpr double kAnyHeat = std::numeric_limits<double>::infinity();
+
+  /// Pages with heat >= `min_heat`, hottest first, at most `limit` of them.
+  static TierHeatRanking hottest(const WorkloadView& view, mem::TierId tier,
+                                 double min_heat,
+                                 std::uint64_t limit = kNoLimit) {
+    return TierHeatRanking(view, tier, /*hottest_first=*/true, min_heat,
+                           limit);
+  }
+
+  /// Pages with heat < `below_heat`, coldest first, at most `limit` of them.
+  static TierHeatRanking coldest(const WorkloadView& view, mem::TierId tier,
+                                 double below_heat,
+                                 std::uint64_t limit = kNoLimit) {
+    return TierHeatRanking(view, tier, /*hottest_first=*/false, below_heat,
+                           limit);
+  }
 
   /// True while ranked pages remain.
-  bool more() const { return !keys_.empty(); }
+  bool more() const { return next_ < keys_.size(); }
 
   /// The next page id in ranking order. Precondition: more().
   std::uint64_t next();
 
  private:
-  std::vector<std::uint64_t> keys_;  ///< min-heap of packed (heat, page) keys
+  TierHeatRanking(const WorkloadView& view, mem::TierId tier,
+                  bool hottest_first, double bound, std::uint64_t limit);
+
+  std::vector<std::uint64_t> keys_;  ///< packed (heat, page) keys that passed
+  std::size_t next_ = 0;             ///< next key to yield
+  std::size_t ordered_ = 0;          ///< keys_[0, ordered_) are sorted
+  std::size_t window_ = 256;         ///< size of the next sorted window
+  std::vector<std::uint64_t> scratch_;  ///< the window sort's other buffer
 };
 
 }  // namespace vulcan::policy

@@ -1,6 +1,7 @@
 #include "policy/threshold.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace vulcan::policy {
 
@@ -23,22 +24,24 @@ void ThresholdPlanner::plan_epoch(std::span<WorkloadView> workloads,
   const auto capacity = static_cast<std::uint64_t>(
       (1.0 - params_.capacity_slack) *
       static_cast<double>(topo.capacity_pages(mem::kFastTier)));
-  double threshold = 1e-30;
-  if (heats.size() > capacity) {
+  // A fast tier too small to hold any page after the slack makes no page
+  // hot: every promotion is refused and every fast page is demotable.
+  double threshold = capacity == 0 ? std::numeric_limits<double>::infinity()
+                                   : 1e-30;
+  if (capacity > 0 && heats.size() > capacity) {
     auto nth = heats.begin() + static_cast<std::ptrdiff_t>(capacity - 1);
     std::nth_element(heats.begin(), nth, heats.end(), std::greater<float>());
     threshold = static_cast<double>(*nth);
   }
   last_threshold_ = threshold;
 
+  const std::uint64_t cap = params_.max_migrations_per_workload;
   for (WorkloadView& view : workloads) {
-    std::uint64_t issued = 0;
-    // Promote: slow pages above the global threshold, hottest first.
-    TierHeatRanking slow_hot(view, mem::kSlowTier, /*hottest_first=*/true);
-    while (slow_hot.more()) {
+    // Promote: slow pages at or above the global threshold, hottest first.
+    auto slow_hot =
+        TierHeatRanking::hottest(view, mem::kSlowTier, threshold, cap);
+    for (std::uint64_t issued = 0; slow_hot.more(); ++issued) {
       const std::uint64_t page = slow_hot.next();
-      if (view.tracker->heat(page) < threshold) break;
-      if (issued >= params_.max_migrations_per_workload) break;
       // MTM's contribution: write-intensive pages copy synchronously (the
       // dirty-retry regime async handles poorly), read-intensive async.
       const bool sync = write_sync_ && view.tracker->write_intensive(page);
@@ -46,20 +49,16 @@ void ThresholdPlanner::plan_epoch(std::span<WorkloadView> workloads,
           view, page, mem::kFastTier,
           sync ? mig::CopyMode::kSync : mig::CopyMode::kAsync,
           {.rank = issued, .threshold = threshold}));
-      ++issued;
     }
     // Demote: fast pages below the global threshold, coldest first.
-    issued = 0;
-    TierHeatRanking fast_cold(view, mem::kFastTier, /*hottest_first=*/false);
-    while (fast_cold.more()) {
-      const std::uint64_t page = fast_cold.next();
-      if (view.tracker->heat(page) >= threshold) break;
-      if (issued >= params_.max_migrations_per_workload) break;
+    auto fast_cold =
+        TierHeatRanking::coldest(view, mem::kFastTier, threshold, cap);
+    for (std::uint64_t issued = 0; fast_cold.more(); ++issued) {
       view.migration->enqueue_urgent(
-          make_request(view, page, mem::kSlowTier, mig::CopyMode::kAsync,
+          make_request(view, fast_cold.next(), mem::kSlowTier,
+                       mig::CopyMode::kAsync,
                        {.rank = issued, .threshold = threshold,
                         .queue_bias = -1.0}));
-      ++issued;
     }
   }
 }

@@ -12,16 +12,13 @@ void WatermarkPlanner::plan_epoch(std::span<WorkloadView> workloads,
       transactional_ ? mig::CopyMode::kAsync : mig::CopyMode::kSync;
   std::uint64_t promotions = 0;
   for (WorkloadView& view : workloads) {
-    TierHeatRanking slow_hot(view, mem::kSlowTier, /*hottest_first=*/true);
-    std::uint64_t issued = 0;
-    while (slow_hot.more()) {
-      const std::uint64_t page = slow_hot.next();
-      if (view.tracker->heat(page) < params_.promote_min_heat) break;
-      if (issued >= params_.max_promotions_per_workload) break;
+    auto slow_hot = TierHeatRanking::hottest(
+        view, mem::kSlowTier, params_.promote_min_heat,
+        params_.max_promotions_per_workload);
+    for (std::uint64_t issued = 0; slow_hot.more(); ++issued) {
       view.migration->enqueue(
-          make_request(view, page, mem::kFastTier, promote_mode,
+          make_request(view, slow_hot.next(), mem::kFastTier, promote_mode,
                        {.rank = issued, .threshold = params_.promote_min_heat}));
-      ++issued;
       ++promotions;
     }
   }
@@ -61,18 +58,20 @@ void WatermarkPlanner::plan_epoch(std::span<WorkloadView> workloads,
     // when the previous one ran dry.
     for (WorkloadView& view : workloads) {
       if (need == 0) break;
-      TierHeatRanking fast_cold(view, mem::kFastTier, /*hottest_first=*/false);
-      while (need > 0 && fast_cold.more()) demote(view, fast_cold.next());
+      auto fast_cold = TierHeatRanking::coldest(
+          view, mem::kFastTier, TierHeatRanking::kAnyHeat, need);
+      while (fast_cold.more()) demote(view, fast_cold.next());
     }
     return;
   }
 
   // TPP: evict the globally coldest fast pages (round-robin sweep over
-  // workloads' cold lists).
+  // workloads' cold lists; none can give more than `need` pages).
   std::vector<TierHeatRanking> cold_lists;
   cold_lists.reserve(workloads.size());
   for (WorkloadView& view : workloads) {
-    cold_lists.emplace_back(view, mem::kFastTier, /*hottest_first=*/false);
+    cold_lists.push_back(TierHeatRanking::coldest(
+        view, mem::kFastTier, TierHeatRanking::kAnyHeat, need));
   }
   bool progress = true;
   while (need > 0 && progress) {

@@ -6,6 +6,8 @@
 #include <limits>
 #include <numeric>
 
+#include "sim/radix_sort.hpp"
+
 namespace vulcan::prof {
 
 HeatTracker::HeatTracker(std::uint64_t pages, double decay)
@@ -78,34 +80,20 @@ std::uint64_t HeatTracker::coverage_pages(double fraction) const {
   // boundaries doesn't pull in one extra page.
   const double target =
       std::clamp(fraction, 0.0, 1.0) * total * (1.0 - 1e-6);
-  // Progressive selection instead of a full sort: select-and-sort the
-  // hottest window, accumulate, and widen only while the target is
-  // uncovered. The accumulation visits values in exactly the descending
-  // order a full sort would produce (ties are equal floats, so their
-  // relative order cannot change the sum), so the result is identical —
-  // but a skewed workload covers its target within the first window and
-  // skips sorting the long cold tail.
+  // Double sums depend on the order of their terms, so the heats must be
+  // added hottest first. A radix sort yields that order in O(n) where a
+  // comparison sort (or a widening selection, on a flat heat profile)
+  // pays O(n log n); its passes ping-pong between the two halves of the
+  // scratch buffer. Ties are equal floats, so their order cannot change
+  // the sum.
+  const std::size_t n = nz.size();
+  nz.resize(2 * n);
+  sim::radix_sort(nz.data(), nz.data() + n, n);
   double covered = 0.0;
   std::uint64_t pages = 0;
-  std::size_t begin = 0;   // [0, begin) already accumulated
-  std::size_t window = 1024;
-  while (begin < nz.size() && covered < target) {
-    const std::size_t end = std::min(nz.size(), begin + window);
-    if (end < nz.size()) {
-      std::nth_element(nz.begin() + static_cast<std::ptrdiff_t>(begin),
-                       nz.begin() + static_cast<std::ptrdiff_t>(end - 1),
-                       nz.end(), std::greater<std::uint32_t>());
-    }
-    std::sort(nz.begin() + static_cast<std::ptrdiff_t>(begin),
-              nz.begin() + static_cast<std::ptrdiff_t>(end),
-              std::greater<std::uint32_t>());
-    for (std::size_t i = begin; i < end; ++i) {
-      if (covered >= target) return pages;
-      covered += static_cast<double>(std::bit_cast<float>(nz[i]));
-      ++pages;
-    }
-    begin = end;
-    window *= 4;
+  for (std::size_t i = n; i > 0 && covered < target; --i) {
+    covered += static_cast<double>(std::bit_cast<float>(nz[i - 1]));
+    ++pages;
   }
   return pages;
 }

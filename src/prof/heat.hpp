@@ -57,7 +57,8 @@ class HeatTracker {
   /// Fill `sort_scratch_` with the IEEE bit patterns of every positive
   /// heat and return it. Positive floats order identically to their raw
   /// bits, so the quota/coverage paths sort plain integers in a reused
-  /// buffer instead of allocating a float vector per epoch per policy.
+  /// buffer instead of allocating a float vector per epoch per policy
+  /// (the coverage path's radix sort also uses a second half of it).
   std::vector<std::uint32_t>& collect_nonzero_bits() const;
 
   double decay_;

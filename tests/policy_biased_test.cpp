@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace vulcan::policy {
 namespace {
 
@@ -118,6 +124,97 @@ TEST(BiasedQueues, ClearEmptiesEverything) {
   q.clear();
   EXPECT_EQ(q.backlog(), 0u);
   EXPECT_TRUE(q.push(req(1, false, false)));
+}
+
+// BiasedQueues as it was before drain() selected only what it takes:
+// every drain fully sorts each queue by (heat desc, vpn asc).
+class FullSortQueues {
+ public:
+  explicit FullSortQueues(BiasedQueues::Params params) : rules_(params) {}
+
+  void push(mig::MigrationRequest r) {
+    for (const auto& q : queues_) {
+      for (const auto& queued : q) {
+        if (queued.vpn == r.vpn) return;
+      }
+    }
+    r.mode = BiasedQueues::mode_for(r.write_intensive);
+    queues_[rules_.effective_queue(r)].push_back(r);
+  }
+
+  std::vector<mig::MigrationRequest> drain(std::uint64_t budget) {
+    std::vector<mig::MigrationRequest> out;
+    for (auto& q : queues_) {
+      std::sort(q.begin(), q.end(), [](const auto& a, const auto& b) {
+        if (a.heat != b.heat) return a.heat > b.heat;
+        return a.vpn < b.vpn;
+      });
+      while (out.size() < budget && !q.empty()) {
+        out.push_back(q.front());
+        q.erase(q.begin());
+      }
+    }
+    return out;
+  }
+
+  template <typename HeatFn>
+  void refresh(HeatFn&& heat_of) {
+    std::vector<mig::MigrationRequest> all;
+    for (auto& q : queues_) {
+      all.insert(all.end(), q.begin(), q.end());
+      q.clear();
+    }
+    for (auto& r : all) {
+      r.heat = heat_of(r.vpn);
+      push(r);
+    }
+  }
+
+ private:
+  BiasedQueues rules_;  ///< only its effective_queue() is used
+  std::array<std::vector<mig::MigrationRequest>, BiasedQueues::kQueueCount>
+      queues_;
+};
+
+// drain() selects the `take` front entries instead of sorting each whole
+// queue; over several epochs of pushes (duplicates and tied heats
+// included), refreshes and budgets from zero to above the backlog, it
+// drains exactly what full sorts drain.
+TEST(BiasedQueues, DrainMatchesAFullSortAcrossEpochs) {
+  const BiasedQueues::Params params{.mlfq_boost_heat = 8.0};
+  BiasedQueues q(params);
+  FullSortQueues ref(params);
+  sim::Rng rng(3);
+  const double heats[] = {0.0, 0.5, 1.0, 1.0, 4.0, 8.0, 8.0, 30.0};
+  std::uint64_t drained = 0;
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    SCOPED_TRACE(epoch);
+    for (int i = 0; i < 600; ++i) {
+      const auto r = req(rng.below(900), rng.chance(0.5), rng.chance(0.3),
+                         heats[rng.below(std::size(heats))]);
+      q.push(r);
+      ref.push(r);
+    }
+    const auto heat_of = [epoch](vm::Vpn vpn) {
+      return static_cast<double>((vpn * 7 + static_cast<vm::Vpn>(epoch)) % 11);
+    };
+    if (epoch % 3 == 1) {
+      q.refresh(heat_of);
+      ref.refresh(heat_of);
+    }
+    const std::uint64_t budgets[] = {0, 1, 37, 300, 5000};
+    const std::uint64_t budget = budgets[epoch % std::size(budgets)];
+    const auto got = q.drain(budget);
+    const auto want = ref.drain(budget);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].vpn, want[i].vpn) << "entry " << i;
+      ASSERT_EQ(got[i].heat, want[i].heat) << "entry " << i;
+      ASSERT_EQ(got[i].mode, want[i].mode) << "entry " << i;
+    }
+    drained += got.size();
+  }
+  EXPECT_GT(drained, 0u);
 }
 
 class Table1PropertyP

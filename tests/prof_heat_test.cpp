@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "sim/rng.hpp"
 
@@ -160,6 +163,46 @@ TEST_P(CoverageMonotoneP, MonotoneAndSufficient) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoverageMonotoneP,
                          ::testing::Values(1, 2, 3));
+
+// The coverage knee must add heats in exactly the order a descending sort
+// gives (double sums depend on the order of their terms). Pinned against
+// that sort on tied, zero and denormal heats, below and above the size
+// where the radix sort takes over from std::sort.
+TEST(HeatTracker, CoverageMatchesADescendingSortReference) {
+  const double palette[] = {1e-40, 3e-39, 1e-7, 0.25, 1.0, 1.0, 3.0, 1e6};
+  sim::Rng rng(5);
+  for (const std::uint64_t pages : {1u, 7u, 200u, 256u, 3000u}) {
+    for (const double zero_share : {0.0, 0.5, 1.0}) {
+      HeatTracker t(pages);
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        if (rng.uniform() < zero_share) continue;
+        // Flat, tied and skewed draws in one tracker.
+        const double heat = p % 3 == 0 ? palette[rng.below(std::size(palette))]
+                                       : rng.uniform() * 100.0;
+        t.record(p, false, heat);
+      }
+      std::vector<float> heats;
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        if (t.heat(p) > 0.0) heats.push_back(static_cast<float>(t.heat(p)));
+      }
+      std::sort(heats.begin(), heats.end(), std::greater<float>());
+      const double total = t.total_heat();
+      for (const double f : {0.0, 1e-9, 0.1, 0.5, 0.9, 0.999, 1.0, 2.0}) {
+        std::uint64_t want = 0;
+        if (total > 0.0) {
+          const double target = std::clamp(f, 0.0, 1.0) * total * (1.0 - 1e-6);
+          double covered = 0.0;
+          while (want < heats.size() && covered < target) {
+            covered += static_cast<double>(heats[want++]);
+          }
+        }
+        ASSERT_EQ(t.coverage_pages(f), want)
+            << pages << " pages, zero share " << zero_share << ", fraction "
+            << f;
+      }
+    }
+  }
+}
 
 TEST(HeatTracker, TotalHeatTracksMass) {
   HeatTracker t(4, 0.5);

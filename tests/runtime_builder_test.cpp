@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "policy/threshold.hpp"
 #include "runtime/experiment.hpp"
 #include "wl/apps.hpp"
 
@@ -147,6 +149,42 @@ TEST(SystemBuilder, MaxTiersRunAuditedUnderEveryPolicy) {
     EXPECT_GT(sys.last_audit().checks, 0u);
     EXPECT_LT(sys.topology().free_pages(kDeepest),
               sys.topology().capacity_pages(kDeepest));
+  }
+}
+
+// A one-page fast tier leaves the capacity-threshold planners (Memtis,
+// MTM) no hot capacity after their 2% slack: floor(0.98 x 1) = 0. They
+// used to read the heat ranking at position -1; now no page is hot, so
+// nothing is promoted. Every policy must run one- and two-page fast tiers
+// clean under the full audit.
+TEST(SystemBuilder, TinyFastTierRunsAuditedUnderEveryPolicy) {
+  for (const std::uint64_t fast_pages : {1u, 2u}) {
+    for (const std::string& policy : all_policy_names()) {
+      SCOPED_TRACE(policy + " over a " + std::to_string(fast_pages) +
+                   "-page fast tier");
+      wl::MicrobenchWorkload::Params params;
+      params.rss_pages = 2048;
+      params.wss_pages = 512;
+      auto built = SystemBuilder{}
+                       .tiers({{"dram", fast_pages, 70, 205.0},
+                               {"cxl", 16384, 162, 25.0}})
+                       .samples_per_epoch(2000)
+                       .audit(check::AuditLevel::kFull)
+                       .policy(policy)
+                       .add_workload(
+                           std::make_unique<wl::MicrobenchWorkload>(params))
+                       .build();
+      ASSERT_TRUE(built.ok()) << built.error();
+      TieredSystem& sys = *built.value();
+      sys.run_epochs(4);
+      EXPECT_TRUE(sys.last_audit().ok());
+      EXPECT_GT(sys.last_audit().checks, 0u);
+      if (const auto* planner =
+              dynamic_cast<const policy::ThresholdPlanner*>(&sys.policy());
+          planner && fast_pages == 1) {
+        EXPECT_TRUE(std::isinf(planner->last_threshold()));
+      }
+    }
   }
 }
 
